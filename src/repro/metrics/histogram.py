@@ -35,17 +35,30 @@ class Histogram:
         self.counts = np.zeros(nbins + 2, dtype=np.int64)  # +under/overflow
 
     def add(self, value: float) -> None:
-        if value < self.lo:
-            self.counts[0] += 1
-        elif value >= self.hi:
-            self.counts[-1] += 1
-        else:
-            idx = int((value - self.lo) / (self.hi - self.lo) * self.nbins)
-            self.counts[1 + idx] += 1
+        self.add_many((value,))
 
     def add_many(self, values: Sequence[float]) -> None:
-        for v in values:
-            self.add(v)
+        """Bin every value in one vectorised pass.
+
+        The bin index is ``int((v - lo) / (hi - lo) * nbins)``, the
+        same float64 arithmetic per element as a scalar loop; an index
+        that rounds up to ``nbins`` lands in the overflow slot.
+        """
+        v = np.asarray(values)
+        if v.size == 0:
+            return
+        if np.isnan(v).any():
+            raise ValueError("cannot bin NaN")
+        slot = np.empty(v.shape, dtype=np.int64)
+        under = v < self.lo
+        over = v >= self.hi
+        inside = ~(under | over)
+        slot[under] = 0
+        slot[over] = self.nbins + 1
+        idx = (v[inside] - self.lo) / (self.hi - self.lo) * self.nbins
+        slot[inside] = 1 + idx.astype(np.int64)
+        self.counts += np.bincount(slot.ravel(),
+                                   minlength=self.nbins + 2)
 
     @property
     def underflow(self) -> int:
@@ -57,8 +70,9 @@ class Histogram:
 
     def bins(self) -> List[BinCount]:
         width = (self.hi - self.lo) / self.nbins
+        counts = self.counts[1:-1].tolist()
         return [BinCount(self.lo + i * width, self.lo + (i + 1) * width,
-                         int(self.counts[1 + i]))
+                         counts[i])
                 for i in range(self.nbins)]
 
     def total(self) -> int:
@@ -87,22 +101,29 @@ class LogHistogram:
         self.counts = np.zeros(self.nbins + 2, dtype=np.int64)
 
     def add(self, value: float) -> None:
-        if value < self.lo:
-            self.counts[0] += 1
-        elif value >= self.hi:
-            self.counts[-1] += 1
-        else:
-            idx = int(np.searchsorted(self.edges, value, side="right")) - 1
-            idx = min(max(idx, 0), self.nbins - 1)
-            self.counts[1 + idx] += 1
+        self.add_many((value,))
 
     def add_many(self, values: Sequence[float]) -> None:
-        for v in values:
-            self.add(v)
+        """Bin every value with one ``searchsorted`` and one ``bincount``.
+
+        A value in ``[lo, hi)`` goes to the bin whose left edge is the
+        last one ``<=`` it, clamped to ``[0, nbins - 1]`` so that edge
+        rounding in ``logspace`` never spills into under/overflow.
+        """
+        v = np.asarray(values)
+        if v.size == 0:
+            return
+        idx = np.searchsorted(self.edges, v, side="right") - 1
+        slot = 1 + np.clip(idx, 0, self.nbins - 1)
+        slot[v < self.lo] = 0
+        slot[v >= self.hi] = self.nbins + 1
+        self.counts += np.bincount(slot.ravel(),
+                                   minlength=self.nbins + 2)
 
     def bins(self) -> List[BinCount]:
-        return [BinCount(float(self.edges[i]), float(self.edges[i + 1]),
-                         int(self.counts[1 + i]))
+        edges = self.edges.tolist()
+        counts = self.counts[1:-1].tolist()
+        return [BinCount(edges[i], edges[i + 1], counts[i])
                 for i in range(self.nbins)]
 
     def total(self) -> int:

@@ -34,6 +34,7 @@ from repro.service.jobs import (
 )
 from repro.service.queue import (
     JOB_STATES,
+    ArtifactLostError,
     JobJournal,
     JobQueue,
     JobRecord,
@@ -45,6 +46,7 @@ from repro.service.scheduler import Scheduler, ServiceDraining
 __all__ = [
     "JOB_KINDS",
     "JOB_STATES",
+    "ArtifactLostError",
     "Cell",
     "CellOutcome",
     "JobArtifact",

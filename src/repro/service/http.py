@@ -15,25 +15,33 @@ POST      /jobs/<id>/cancel               cancel a queued job
 GET       /health                         queue + store + pool health
 ========  ==============================  ===============================
 
-Error mapping: bad spec -> 400, unknown job -> 404, artifact of an
-unfinished job -> 409, queue full -> 429 (back-pressure), draining ->
-503.  All error bodies are ``{"error": ...}`` JSON.
+Error mapping: bad spec or malformed request (``Content-Length``,
+``?wait=``) -> 400, unknown job -> 404, artifact of an unfinished job
+-> 409, artifact whose journal file is gone or corrupt -> 410, queue
+full -> 429 (back-pressure), draining -> 503.  All error bodies are
+``{"error": ...}`` JSON.
 
 The artifact route serves :attr:`JobArtifact.artifact` verbatim --
 the same ``to_json(...) + "\\n"`` text the one-shot CLI writes to its
 ``--json`` files -- which is what the byte-identity tests ``cmp``
-against CLI output.
+against CLI output.  The text is read back from the job journal on
+each request; the server keeps no finished artifact in memory.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.service.jobs import JobError, JobSpec
-from repro.service.queue import QueueFullError, UnknownJobError
+from repro.service.queue import (
+    ArtifactLostError,
+    QueueFullError,
+    UnknownJobError,
+)
 from repro.service.scheduler import Scheduler, ServiceDraining
 
 #: Upper bound on one request (headers + body); jobs specs are tiny.
@@ -43,7 +51,7 @@ MAX_WAIT_S = 60.0
 
 _REASONS = {200: "OK", 201: "Created", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
-            409: "Conflict", 413: "Payload Too Large",
+            409: "Conflict", 410: "Gone", 413: "Payload Too Large",
             429: "Too Many Requests", 500: "Internal Server Error",
             503: "Service Unavailable"}
 
@@ -69,6 +77,27 @@ def _response(status: int, body: bytes, content_type: str) -> bytes:
 def _json_response(status: int, data: Any) -> bytes:
     body = (json.dumps(data, sort_keys=True) + "\n").encode("utf-8")
     return _response(status, body, "application/json")
+
+
+def _content_length(raw: str) -> int:
+    """The request body length: plain ASCII digits, capped."""
+    if not (raw.isascii() and raw.isdigit()):
+        raise HttpError(400, f"bad Content-Length {raw!r}")
+    length = int(raw)
+    if length > MAX_REQUEST_BYTES:
+        raise HttpError(413, "request body too large")
+    return length
+
+
+def _wait_seconds(raw: str) -> float:
+    """A ``?wait=`` long-poll: a finite, non-negative number of seconds."""
+    try:
+        seconds = float(raw)
+    except ValueError:
+        raise HttpError(400, f"bad wait {raw!r}") from None
+    if not math.isfinite(seconds) or seconds < 0:
+        raise HttpError(400, f"bad wait {raw!r}: need finite seconds >= 0")
+    return min(seconds, MAX_WAIT_S)
 
 
 class ServiceServer:
@@ -146,9 +175,7 @@ class ServiceServer:
             if ":" in line:
                 name, value = line.split(":", 1)
                 headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > MAX_REQUEST_BYTES:
-            raise HttpError(413, "request body too large")
+        length = _content_length(headers.get("content-length", "0") or "0")
         body = await reader.readexactly(length) if length else b""
         split = urlsplit(target)
         query = {name: values[-1] for name, values
@@ -206,7 +233,7 @@ class ServiceServer:
             raise HttpError(404, f"unknown job {job_id!r}") from None
         if not rest and method == "GET":
             if "wait" in query:
-                timeout = min(float(query["wait"]), MAX_WAIT_S)
+                timeout = _wait_seconds(query["wait"])
                 try:
                     record = await self.scheduler.wait_for(
                         job_id, timeout=timeout)
@@ -214,21 +241,24 @@ class ServiceServer:
                     pass  # long-poll expired: report where we are
             writer.write(_json_response(200, record.status()))
             return
-        if rest == ["artifact"] and method == "GET":
-            if record.state != "done" or record.artifact is None:
+        if rest in (["artifact"], ["report"]) and method == "GET":
+            if record.state != "done":
                 raise HttpError(
                     409, f"job {job_id} is {record.state}, not done")
-            writer.write(_response(
-                200, record.artifact.artifact.encode("utf-8"),
-                "application/json"))
-            return
-        if rest == ["report"] and method == "GET":
-            if record.state != "done" or record.artifact is None:
-                raise HttpError(
-                    409, f"job {job_id} is {record.state}, not done")
-            writer.write(_response(
-                200, record.artifact.report.encode("utf-8"),
-                "text/plain; charset=utf-8"))
+            try:
+                artifact = await asyncio.get_running_loop(
+                ).run_in_executor(None, self.scheduler.queue.artifact,
+                                  job_id)
+            except ArtifactLostError as exc:
+                raise HttpError(410, str(exc)) from None
+            if rest == ["artifact"]:
+                writer.write(_response(
+                    200, artifact.artifact.encode("utf-8"),
+                    "application/json"))
+            else:
+                writer.write(_response(
+                    200, artifact.report.encode("utf-8"),
+                    "text/plain; charset=utf-8"))
             return
         if rest == ["stream"] and method == "GET":
             await self._stream(record, writer)

@@ -16,9 +16,15 @@ Every state change is journaled through :class:`JobJournal` -- one
 atomically-replaced JSON file per job under
 ``<store_root>/service/jobs/`` with the finished artifact embedded --
 so a killed server :meth:`recovers <JobQueue.recover>` on restart:
-finished jobs come back with their artifacts, and jobs that were
-queued or mid-run come back ``queued`` (their completed cells are in
-the result store, so re-running them is mostly cache hits).
+finished jobs come back done, and jobs that were queued or mid-run
+come back ``queued`` (their completed cells are in the result store,
+so re-running them is mostly cache hits).
+
+The journal is the only home of a finished job's artifact and report
+text: records keep just the job's ``stats``, and
+:meth:`JobQueue.artifact` reads the text back from the journal on
+demand, so a long-lived server's memory does not grow with every job
+it has ever finished.
 """
 
 from __future__ import annotations
@@ -47,9 +53,17 @@ class UnknownJobError(KeyError):
     """Lookup of a job id the queue has never seen (HTTP 404)."""
 
 
+class ArtifactLostError(RuntimeError):
+    """A done job's journaled artifact is missing or corrupt (HTTP 410)."""
+
+
 @dataclass
 class JobRecord:
-    """One job's lifecycle, from submission to artifact."""
+    """One job's lifecycle, from submission to finished stats.
+
+    The artifact text itself lives only in the journal; see
+    :meth:`JobQueue.artifact`.
+    """
 
     job_id: str
     spec: JobSpec
@@ -60,7 +74,7 @@ class JobRecord:
     cache_hits: int = 0
     resumes: int = 0
     error: str = ""
-    artifact: Optional[JobArtifact] = None
+    stats: Optional[Dict[str, Any]] = None
 
     @property
     def finished(self) -> bool:
@@ -81,13 +95,13 @@ class JobRecord:
             out["resumes"] = self.resumes
         if self.error:
             out["error"] = self.error
-        if self.artifact is not None:
-            out["stats"] = dict(self.artifact.stats)
+        if self.stats is not None:
+            out["stats"] = dict(self.stats)
         return out
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
+        return {
             "id": self.job_id,
             "spec": self.spec.to_dict(),
             "state": self.state,
@@ -98,22 +112,12 @@ class JobRecord:
             "resumes": self.resumes,
             "error": self.error,
         }
-        if self.artifact is not None:
-            data["artifact"] = {
-                "artifact": self.artifact.artifact,
-                "report": self.artifact.report,
-                "stats": self.artifact.stats,
-            }
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobRecord":
-        artifact = None
+        stats = None
         if data.get("artifact") is not None:
-            blob = data["artifact"]
-            artifact = JobArtifact(artifact=blob["artifact"],
-                                   report=blob["report"],
-                                   stats=dict(blob.get("stats", {})))
+            stats = dict(data["artifact"].get("stats", {}))
         return cls(job_id=data["id"],
                    spec=JobSpec.from_dict(data["spec"]),
                    state=data.get("state", "queued"),
@@ -123,7 +127,7 @@ class JobRecord:
                    cache_hits=int(data.get("cache_hits", 0)),
                    resumes=int(data.get("resumes", 0)),
                    error=data.get("error", ""),
-                   artifact=artifact)
+                   stats=stats)
 
 
 # ----------------------------------------------------------------------
@@ -138,12 +142,36 @@ class JobJournal:
     def path_for(self, job_id: str) -> str:
         return os.path.join(self.root, f"{job_id}.json")
 
-    def save(self, record: JobRecord) -> None:
+    def save(self, record: JobRecord,
+             artifact: Optional[JobArtifact] = None) -> None:
+        """Atomically replace the job's file (*artifact* embedded)."""
+        data = record.to_dict()
+        if artifact is not None:
+            data["artifact"] = {"artifact": artifact.artifact,
+                                "report": artifact.report,
+                                "stats": artifact.stats}
         path = self.path_for(record.job_id)
         tmp = f"{path}.{os.getpid()}.{next(self._tmp_seq)}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(record.to_dict(), fh, sort_keys=True)
+            json.dump(data, fh, sort_keys=True)
         os.replace(tmp, path)
+
+    def load_artifact(self, job_id: str) -> JobArtifact:
+        """The artifact embedded in a done job's file.
+
+        Raises :class:`ArtifactLostError` if the file is gone, torn or
+        carries no artifact.
+        """
+        try:
+            with open(self.path_for(job_id), encoding="utf-8") as fh:
+                blob = json.load(fh)["artifact"]
+            return JobArtifact(artifact=blob["artifact"],
+                               report=blob["report"],
+                               stats=dict(blob.get("stats", {})))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ArtifactLostError(
+                f"job {job_id}: journaled artifact is missing or "
+                f"corrupt ({type(exc).__name__})") from None
 
     def delete(self, job_id: str) -> None:
         try:
@@ -165,7 +193,8 @@ class JobJournal:
             try:
                 with open(path, encoding="utf-8") as fh:
                     records.append(JobRecord.from_dict(json.load(fh)))
-            except (OSError, ValueError, KeyError):
+            except (OSError, ValueError, KeyError, TypeError,
+                    AttributeError):
                 continue  # torn/corrupt journal: the job is just lost
         records.sort(key=lambda r: r.seq)
         return records
@@ -175,8 +204,7 @@ class JobJournal:
 class JobQueue:
     """Bounded priority admission + the job state machine."""
 
-    def __init__(self, capacity: int = 64,
-                 journal: Optional[JobJournal] = None) -> None:
+    def __init__(self, journal: JobJournal, capacity: int = 64) -> None:
         self.capacity = capacity
         self.journal = journal
         self._records: Dict[str, JobRecord] = {}
@@ -190,8 +218,6 @@ class JobQueue:
         Returns the records that went back to ``queued`` (so the
         caller can log/kick the scheduler).
         """
-        if self.journal is None:
-            return []
         requeued = []
         top = 0
         for record in self.journal.load_all():
@@ -228,7 +254,7 @@ class JobQueue:
                            seq=next(self._seq))
         self._records[job_id] = record
         self._push(record)
-        self._save(record)
+        self.journal.save(record)
         return record, True
 
     def _push(self, record: JobRecord) -> None:
@@ -244,7 +270,7 @@ class JobQueue:
             record = self._records.get(job_id)
             if record is not None and record.state == "queued":
                 record.state = "running"
-                self._save(record)
+                self.journal.save(record)
                 return record
         return None
 
@@ -255,21 +281,33 @@ class JobQueue:
             record.state = "queued"
             record.resumes += 1
             self._push(record)
-            self._save(record)
+            self.journal.save(record)
 
     def finish(self, job_id: str, artifact: JobArtifact) -> JobRecord:
+        """Mark done; the artifact text goes to the journal only."""
         record = self.get(job_id)
         record.state = "done"
-        record.artifact = artifact
+        record.stats = dict(artifact.stats)
         record.error = ""
-        self._save(record)
+        self.journal.save(record, artifact)
         return record
+
+    def artifact(self, job_id: str) -> JobArtifact:
+        """A done job's artifact, read back from the journal.
+
+        Raises :class:`UnknownJobError` for an unknown id and
+        :class:`ArtifactLostError` if the journal no longer holds it.
+        """
+        record = self.get(job_id)
+        if record.state != "done":
+            raise ArtifactLostError(f"job {job_id} is {record.state}")
+        return self.journal.load_artifact(job_id)
 
     def fail(self, job_id: str, error: str) -> JobRecord:
         record = self.get(job_id)
         record.state = "failed"
         record.error = error
-        self._save(record)
+        self.journal.save(record)
         return record
 
     def cancel(self, job_id: str) -> JobRecord:
@@ -277,7 +315,7 @@ class JobQueue:
         record = self.get(job_id)
         if record.state == "queued":
             record.state = "cancelled"
-            self._save(record)
+            self.journal.save(record)
         return record
 
     def progress(self, job_id: str, cells_done: int,
@@ -286,7 +324,7 @@ class JobQueue:
         record.cells_done = cells_done
         record.cells_total = cells_total
         record.cache_hits = cache_hits
-        self._save(record)
+        self.journal.save(record)
         return record
 
     # ------------------------------------------------------------------
@@ -311,7 +349,3 @@ class JobQueue:
         return {"capacity": self.capacity,
                 "live": self.live_count(),
                 "by_state": by_state}
-
-    def _save(self, record: JobRecord) -> None:
-        if self.journal is not None:
-            self.journal.save(record)

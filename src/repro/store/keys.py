@@ -26,21 +26,45 @@ import dataclasses
 import hashlib
 import json
 import os
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 #: Cache of tree digests, keyed by resolved root directory: hashing
 #: ~180 source files once per process is cheap, once per job is not.
 _CODE_VERSIONS: Dict[str, str] = {}
 
 
+#: The JSON scalar types :func:`canonical` returns unchanged.  Exact
+#: types only: subclasses (``IntEnum``, ``str`` enums, ...) take the
+#: general path, which still checks for dataclasses first.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+#: Field names per dataclass type (``None`` for any other type), so
+#: each node costs one dict lookup instead of ``dataclasses.fields``.
+_DATACLASS_FIELDS: Dict[type, Optional[Tuple[str, ...]]] = {}
+
+
+def _dataclass_fields(cls: type) -> Optional[Tuple[str, ...]]:
+    try:
+        return _DATACLASS_FIELDS[cls]
+    except KeyError:
+        pass
+    names: Optional[Tuple[str, ...]] = None
+    if dataclasses.is_dataclass(cls):
+        names = tuple(f.name for f in dataclasses.fields(cls))
+    _DATACLASS_FIELDS[cls] = names
+    return names
+
+
 def canonical(value: Any) -> Any:
     """Recursively reduce *value* to a JSON-stable canonical form."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        out: Dict[str, Any] = {
-            "__dataclass__": type(value).__name__,
-        }
-        for field in dataclasses.fields(value):
-            out[field.name] = canonical(getattr(value, field.name))
+    cls = type(value)
+    if cls in _SCALARS:
+        return value
+    names = _dataclass_fields(cls)
+    if names is not None:
+        out: Dict[str, Any] = {"__dataclass__": cls.__name__}
+        for name in names:
+            out[name] = canonical(getattr(value, name))
         return out
     if isinstance(value, dict):
         return {str(k): canonical(v) for k, v in sorted(value.items())}

@@ -50,13 +50,14 @@ class TestExecution:
         assert record.state == "done"
         assert record.cells_total == 1 and record.cache_hits == 0
         assert sched.cells_computed == 1
-        assert record.artifact.artifact.endswith("\n")
+        assert sched.queue.artifact(record.job_id).artifact.endswith("\n")
 
     def test_fully_cached_job_never_spawns_a_worker(self, tmp_path):
         root = str(tmp_path / "store")
         cold = build(root)
         (first,) = asyncio.run(serve_jobs(cold, [FIGURE]))
         assert cold.workers_spawned
+        first_text = cold.queue.artifact(first.job_id).artifact
 
         # Fresh scheduler, fresh journal, same store: every cell is
         # a content-key hit, so the pool must never be created.
@@ -68,7 +69,7 @@ class TestExecution:
         assert again.cache_hits == again.cells_total == 1
         assert not warm.workers_spawned
         assert warm.cells_computed == 0
-        assert again.artifact.artifact == first.artifact.artifact
+        assert warm.queue.artifact(again.job_id).artifact == first_text
 
     def test_priority_orders_execution(self, tmp_path, monkeypatch):
         order = []
@@ -208,7 +209,7 @@ class TestBackpressureAndDrain:
 
         direct = run_campaign(("fig7",), seeds=(1, 2, 3, 4),
                               samples=100)
-        assert final.artifact.artifact == \
+        assert resumed.queue.artifact(final.job_id).artifact == \
             to_json(campaign_to_dict(direct)) + "\n"
 
     def test_cancelled_job_is_never_executed(self, tmp_path):
