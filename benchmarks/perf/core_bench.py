@@ -133,16 +133,16 @@ def cancel_churn_body(sim, n: int) -> Tuple[float, int]:
 
 
 def batched_drain_body(sim, n: int) -> Tuple[float, int]:
-    """Mixed heap + wheel drain: the batched backend's target shape.
+    """Mixed heap + wheel drain: the batched advance's target shape.
 
     Half the events are pre-loaded scattered one-shots and the other
     half are periodic fires interleaved among them, so the drain
-    crosses the one-shot/periodic boundary constantly.  The
+    crosses the one-shot/periodic boundary constantly.  An
     event-at-a-time loop pays a heap-vs-wheel comparison per fire;
-    the batched backend stages each window once and dispatches the
-    merged run -- this row is the direct measure of that fusion.  On
-    the legacy core the periodic sources fall back to the naive
-    self-rescheduling ``after()`` idiom.
+    the engine's batched advance stages each window once and
+    dispatches the merged run -- this row is the direct measure of
+    that fusion.  On the legacy core the periodic sources fall back to
+    the naive self-rescheduling ``after()`` idiom.
     """
     cb = _null_callback
     oneshots = n // 2

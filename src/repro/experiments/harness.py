@@ -92,7 +92,7 @@ class Bench:
         the one-shot count) so the missing event source is obvious.
         The stall check and the diagnostic both consult the engine's
         staged-aware views (``peek_time``/``pending_summary``), so
-        events sitting in the batched backend's in-flight run -- e.g.
+        events sitting in the engine's in-flight batch run -- e.g.
         after a callback raised out of an advance -- count as pending
         work rather than as a phantom stall.
 
@@ -109,8 +109,7 @@ class Bench:
                     f"all event queues drained at t={sim.now} ns with "
                     f"measurement program {name!r} unfinished "
                     f"({deadline - sim.now} ns short of its limit); "
-                    f"a workload or device stopped scheduling events "
-                    f"[backend={sim.backend_name}]; "
+                    f"a workload or device stopped scheduling events; "
                     f"pending: {sim.pending_summary()}")
             sim.run_until(min(deadline, sim.now + chunk_ns))
         if strict_limit and not test.finished:
@@ -118,8 +117,7 @@ class Bench:
             raise SimulationStalledError(
                 f"time limit of {limit_ns} ns expired at t={sim.now} "
                 f"ns with measurement program {name!r} unfinished "
-                f"({sim.events_pending} events still pending, "
-                f"backend={sim.backend_name}); "
+                f"({sim.events_pending} events still pending); "
                 f"pending: {sim.pending_summary()}")
 
 

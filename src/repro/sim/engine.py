@@ -20,42 +20,51 @@ Hot-path design (the perf suite in ``benchmarks/perf`` tracks this):
   objects on the heap, no tuple indirection, no Python ``__lt__``.
   Liveness is an external dict (key -> handle); absence means
   cancelled, so firing needs no handle write-back at all.
-* The dequeue/dispatch/re-arm inner loop lives behind the
-  :class:`~repro.sim.backends.base.SimBackend` seam
-  (``repro.sim.backends``): the default ``batched`` backend stages due
-  wheel entries into a flat sorted run (``_active_run``) and dispatches
-  fused one-shot runs between staged heads; the ``simple`` backend is
-  the historical event-at-a-time loop kept as its oracle; ``compiled``
-  is the batched loop built as an extension module when available.
+* The dequeue/dispatch/re-arm loop (:meth:`Simulator._advance`)
+  works in windows.  It *stages* every wheel entry due inside the
+  window (:meth:`TimerWheel.extract_upto`) into ``_active_run``, a flat
+  sorted ``(key, handle)`` list, so the wheel's bitmap scans and
+  cascades are paid once per window rather than once per fire.  It
+  then dispatches *fused one-shot runs*: heap keys below the staged
+  head pop in a tight loop with no wheel comparison at all.  The only
+  event that can invalidate that boundary is a callback arming a new
+  periodic, detected by comparing the wheel's monotone insertion
+  generation (``wheel._ins``) around the callback -- two int reads --
+  after which the window is re-staged.  Finally the staged head fires
+  and re-arms by ``insort`` into the run (still inside the window) or
+  back onto the wheel (beyond it).  Cancelled staged entries are
+  skipped at dispatch and stay visible to introspection until then.
+* :meth:`Simulator.step` is the same merge done one event at a time:
+  the heap head against the wheel head, with a fresh comparison per
+  event.  It is the oracle ``run``/``run_until`` are tested against.
 * Firing order is strict ``(when, seq)`` across both queues, with
   periodics drawing a fresh seq from the same counter at each re-arm:
   exactly the order the naive self-rescheduling ``after()`` idiom
-  produced, which is what keeps figure outputs byte-identical --
-  under every backend.
+  produced, which is what keeps figure outputs byte-identical.  The
+  staging reorders *bookkeeping*, never callbacks.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Union
+from bisect import insort
+from typing import Callable, List, Optional
 
 from repro.observe.tracepoints import Tracepoints
-from repro.sim.backends import SimBackend, resolve as _resolve_backend
 from repro.sim.errors import SchedulingInPastError, SimulationStalledError
-from repro.sim.events import (COMPACT_FLOOR, EventHandle, PeriodicHandle,
-                              SEQ_BITS)
+from repro.sim.events import EventHandle, PeriodicHandle, SEQ_BITS
 from repro.sim.rng import DEFAULT_SEED, RngStreams
 from repro.sim.trace import TraceBuffer
 from repro.sim.wheel import TimerWheel
 
-#: Compact the heap only once it is at least this large (see
-#: :data:`repro.sim.events.COMPACT_FLOOR`, shared with the inlined
-#: cancel path in EventHandle.cancel).
-_COMPACT_FLOOR = COMPACT_FLOOR
-
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 _new_handle = EventHandle.__new__
+
+#: A key bound larger than any schedulable one.  Packed keys are
+#: unbounded Python ints (``when << SEQ_BITS``), so the only safe
+#: universal bound is +inf -- int/float comparisons are exact here.
+_INF_KEY = float("inf")
 
 
 class Simulator:
@@ -70,17 +79,10 @@ class Simulator:
         ``ScenarioSpec`` driving the experiment).
     trace_capacity:
         Ring-buffer size for the (normally disabled) trace facility.
-    backend:
-        Inner-loop implementation: ``"batched"`` (default),
-        ``"simple"``, ``"compiled"``, or a :class:`SimBackend`
-        instance.  ``None`` consults the ``REPRO_SIM_BACKEND``
-        environment variable.  All backends fire events in identical
-        order; the choice affects wall-clock only.
     """
 
     def __init__(self, seed: Optional[int] = None,
-                 trace_capacity: int = 65536,
-                 backend: Union[None, str, SimBackend] = None) -> None:
+                 trace_capacity: int = 65536) -> None:
         self.now: int = 0
         self._heap: List[int] = []
         self._handles: dict = {}  # packed key -> callback (presence = alive)
@@ -93,17 +95,11 @@ class Simulator:
         # staged it; introspection helpers below fold it in so staged
         # events are never invisible.
         self._active_run: list = []
-        self._backend: SimBackend = _resolve_backend(backend)
         self.rng = RngStreams(DEFAULT_SEED if seed is None else seed)
         self.trace = TraceBuffer(trace_capacity)
         # Typed tracepoint registry (disabled; the machine sizes its
         # per-CPU rings via tp.configure() once the CPU count is known).
         self.tp = Tracepoints()
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the active inner-loop backend."""
-        return self._backend.name
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -185,23 +181,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Queue hygiene
     # ------------------------------------------------------------------
-    def _cancel_oneshot(self, handle: EventHandle) -> bool:
-        """Cancel a one-shot.
-
-        Kept as the documented seam even though
-        :meth:`EventHandle.cancel` inlines this logic on the hot path;
-        policy here must mirror the inlined copy.
-        """
-        if self._handles.pop(handle.key, None) is None:
-            return False  # already fired or already cancelled
-        dead = self._dead + 1
-        self._dead = dead
-        if not dead & 31:
-            heap = self._heap
-            if dead > len(heap) // 2 and len(heap) >= _COMPACT_FLOOR:
-                self._compact()
-        return True
-
     def _note_periodic_cancelled(self, handle: PeriodicHandle) -> None:
         """A periodic was cancelled (handle hook); unlink from wheel."""
         self._wheel.remove(handle)
@@ -304,20 +283,40 @@ class Simulator:
         return summary
 
     def step(self) -> bool:
-        """Fire the next event.  Returns False if none remain."""
-        return self._backend.step(self)
+        """Fire the next event.  Returns False if none remain.
+
+        Single-step semantics are inherently unbatched: refile any
+        staged run (left by an aborted advance) and dispatch one event,
+        merging the heap head against the wheel head.
+        """
+        self._unstage()
+        heap = self._heap
+        handles = self._handles
+        wheel = self._wheel
+        while True:
+            w = wheel._min_cache
+            if w is None and wheel._count:
+                w = wheel.peek()
+            if heap:
+                key = heap[0]
+                if w is None or key < w.key:
+                    _heappop(heap)
+                    cb = handles.pop(key, None)
+                    if cb is None:
+                        self._dead -= 1
+                        continue
+                    self.now = key >> SEQ_BITS
+                    self._events_fired += 1
+                    cb()
+                    return True
+            if w is None:
+                return False
+            self._fire_periodic(w)
+            return True
 
     def _fire_periodic(self, handle: PeriodicHandle) -> None:
-        """Fire the wheel head; counts the event (step() path)."""
+        """Fire the wheel head, count it, and re-arm it in place."""
         self._events_fired += 1
-        self._fire_one_periodic(handle)
-
-    def _fire_one_periodic(self, handle: PeriodicHandle) -> None:
-        """Fire the wheel head and re-arm it in place (if still alive).
-
-        Does not touch ``_events_fired``; the batched run loops account
-        for fired events themselves.
-        """
         wheel = self._wheel
         wheel.remove(handle)
         self.now = handle.when
@@ -335,19 +334,116 @@ class Simulator:
             handle.key = (when << SEQ_BITS) | seq
             wheel.insert(handle)
 
+    def _unstage(self) -> None:
+        """Refile staged batch-run entries back onto the wheel.
+
+        An advance that exits through an exception (kernel panic,
+        harness abort) may leave extracted periodics in
+        ``_active_run``; :meth:`step` calls this so it starts from the
+        canonical heap+wheel state.
+        """
+        run = self._active_run
+        if run:
+            wheel = self._wheel
+            for _, handle in run:
+                if handle._alive:
+                    wheel.insert(handle)
+            run.clear()
+
+    def _advance(self, limit: float) -> None:
+        """Fire every event with packed key <= *limit* in key order.
+
+        *limit* is a packed key, or ``_INF_KEY`` to drain both queues.
+        """
+        heap = self._heap
+        handles = self._handles
+        wheel = self._wheel
+        run = self._active_run
+        if run and run[-1][0] > limit:
+            # A previous advance exited exceptionally with entries staged
+            # beyond this window; refile them so the boundary stays honest.
+            self._unstage()
+        pop = _heappop
+        get = handles.pop
+        fired = 0
+        try:
+            while True:
+                # Stage the window: pull due wheel entries into the run.
+                if wheel._count:
+                    w = wheel._min_cache
+                    if w is None:
+                        w = wheel.peek()
+                    if w.key <= limit:
+                        wheel.extract_upto(limit, run)
+                if run:
+                    boundary = run[0][0]
+                else:
+                    boundary = limit
+                # Fused one-shot run up to the staged head.
+                restage = False
+                while heap:
+                    key = heap[0]
+                    if key > boundary:
+                        break
+                    pop(heap)
+                    cb = get(key, None)
+                    if cb is None:
+                        self._dead -= 1
+                        continue
+                    self.now = key >> SEQ_BITS
+                    fired += 1
+                    gen = wheel._ins
+                    cb()
+                    if wheel._ins != gen:
+                        # A new periodic was armed; it may be due before
+                        # the current boundary.  Re-stage the window.
+                        restage = True
+                        break
+                if restage:
+                    continue
+                if not run:
+                    break
+                # Dispatch the staged head; every remaining heap key is
+                # larger, so key order is preserved.
+                key, handle = run[0]
+                del run[0]
+                if not handle._alive:
+                    continue  # cancelled while staged
+                self.now = key >> SEQ_BITS
+                fired += 1
+                handle.callback()
+                if handle._alive:
+                    # Fresh seq *after* the callback returns, as in
+                    # _fire_periodic.
+                    seq = self._seq
+                    self._seq = seq + 1
+                    handle.fires += 1
+                    nxt = handle.when + handle.period
+                    handle.when = nxt
+                    handle.seq = seq
+                    nkey = (nxt << SEQ_BITS) | seq
+                    handle.key = nkey
+                    if nkey <= limit:
+                        insort(run, (nkey, handle))
+                    else:
+                        wheel.insert(handle)
+        finally:
+            self._events_fired += fired
+
     def run_until(self, when: int) -> None:
         """Fire events up to and including time *when*.
 
         The clock is left at *when* even if the last event fired
         earlier; this gives callers a consistent "the simulated world
-        has reached t" view.  The loop itself is supplied by the
-        active :class:`SimBackend`.
+        has reached t" view.
         """
-        self._backend.run_until(self, when)
+        self._advance(((when + 1) << SEQ_BITS) - 1)
+        if when > self.now:
+            self.now = when
 
     def run(self) -> None:
-        """Fire events until both queues drain (backend-supplied loop)."""
-        self._backend.run(self)
+        """Fire events until both queues drain."""
+        self._advance(_INF_KEY)
 
     def run_steps(self, count: int) -> int:
         """Fire at most *count* events; returns the number fired."""

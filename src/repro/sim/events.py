@@ -82,11 +82,13 @@ class EventHandle:
         """Cancel the event.  Returns True if it had not yet fired."""
         owner = self._owner
         if owner is not None:
-            # Inlined Simulator._cancel_oneshot: timeout-style
-            # workloads cancel most of what they schedule, so this is
-            # a hot path worth a frame.  The compaction test runs every
-            # 32nd dead entry -- the bound only loosens by a constant,
-            # and mass-cancel storms skip 31 len() calls out of 32.
+            # Lazy deletion: drop the liveness entry and count the dead
+            # heap key; the run loops skip it when it surfaces.  Once
+            # dead keys are over half of a heap of at least
+            # COMPACT_FLOOR entries, the simulator compacts the heap.
+            # The test runs every 32nd dead entry -- the bound only
+            # loosens by a constant, and mass-cancel storms skip 31
+            # len() calls out of 32.
             if owner._handles.pop(self.key, None) is None:
                 return False  # already fired or already cancelled
             dead = owner._dead + 1

@@ -36,7 +36,6 @@ stream bit-for-bit where a scalar-only consumer would have left it.
 
 from __future__ import annotations
 
-import os
 import zlib
 from typing import Dict, Optional, Tuple
 
@@ -47,21 +46,12 @@ import numpy as np
 #: one value, so a run's seed is stated in exactly one place.
 DEFAULT_SEED = 1
 
-#: Environment switch: set ``REPRO_RNG_PLANES=0`` to hand out raw
-#: ``numpy.random.Generator`` objects (debugging / perf A-B only; the
-#: sequences are bit-identical either way).
-PLANES_ENV = "REPRO_RNG_PLANES"
-
 #: Consecutive same-signature scalar draws before the first prefetch.
 PLANE_THRESHOLD = 4
 #: First plane size; planes double on exhaustion within one streak.
 PLANE_START = 8
 #: Planes never exceed this many draws.
 PLANE_MAX = 4096
-
-
-def _planes_enabled_default() -> bool:
-    return os.environ.get(PLANES_ENV, "1") not in ("0", "false", "no")
 
 
 class PlanedGenerator:
@@ -345,13 +335,12 @@ class RngStreams:
     """Factory and registry for named random substreams."""
 
     def __init__(self, master_seed: Optional[int] = None, *,
-                 planes: Optional[bool] = None) -> None:
+                 planes: bool = True) -> None:
         if master_seed is None:
             master_seed = DEFAULT_SEED
         self._master_seed = int(master_seed)
         self._streams: Dict[str, object] = {}
-        self._planes = (_planes_enabled_default()
-                        if planes is None else bool(planes))
+        self._planes = bool(planes)
 
     @property
     def master_seed(self) -> int:

@@ -16,10 +16,12 @@ Operations:
   list append per level walked; re-arming a periodic allocates
   nothing (buckets are preallocated ``_Bucket`` objects that carry
   their own level/index, so clearing an occupancy bit is direct).
-* ``peek``/``pop_min``: find the first occupied slot via per-level
-  occupancy bitmaps (``int`` bit tricks); when a level-0 rotation
-  drains, the next occupied higher-level slot cascades down, again
-  through the O(1) insert path.
+* ``peek``: find the first occupied slot via per-level occupancy
+  bitmaps (``int`` bit tricks); when a level-0 rotation drains, the
+  next occupied higher-level slot cascades down, again through the
+  O(1) insert path.
+* ``extract_upto``: move every entry due inside a window into a sorted
+  run in one pass (the engine's batched advance).
 
 Two overflow side-lists keep the bitmap math honest at the edges:
 ``_near`` holds entries behind the wheel's internal cursor (possible
@@ -181,34 +183,6 @@ class TimerWheel:
         self._min_cache = best
         return best
 
-    def pop_min(self) -> Optional["PeriodicHandle"]:
-        """Remove and return the earliest entry.
-
-        Fully self-contained (the find and the unlink are inlined
-        rather than delegated to ``peek``/``remove``): this is the
-        engine's once-per-tick call when only wheel events remain, so
-        every stack frame shed here is a frame per periodic fire.
-        """
-        handle = self._min_cache
-        if handle is None:
-            if self._count == 0:
-                return None
-            handle = self.peek()
-            if handle is None:
-                return None
-        self._min_cache = None
-        self._count -= 1
-        bucket = handle._bucket
-        handle._bucket = None
-        if type(bucket) is _Bucket:
-            entries = bucket.entries
-            entries.remove(handle)
-            if not entries:
-                self._occupied[bucket.level] &= ~(1 << bucket.idx)
-        else:
-            bucket.remove((handle.key, handle))
-        return handle
-
     def extract_upto(self, limit_key: int, out: list) -> int:
         """Move every entry with packed key <= *limit_key* into *out*.
 
@@ -230,7 +204,7 @@ class TimerWheel:
             key = handle.key
             if key > limit_key:
                 break
-            # Inlined unlink of the cached minimum (cf. pop_min).
+            # Inlined unlink of the cached minimum (cf. remove).
             self._min_cache = None
             self._count -= 1
             bucket = handle._bucket

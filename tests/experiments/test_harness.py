@@ -107,7 +107,7 @@ class TestBuildBench:
                                  strict_limit=True)
         message = str(exc.value)
         assert "never-test" in message
-        assert "backend=" in message
+        assert "pending: " in message and "periodic (" in message
         assert "events still pending" in message
 
     def test_machine_spec_selection(self):

@@ -186,14 +186,11 @@ def test_const_dists_draw_nothing():
     assert planed.integers(0, 10 ** 9) == raw.integers(0, 10 ** 9)
 
 
-def test_planes_env_and_flag_control(monkeypatch):
+def test_planes_flag_control():
     streams = RngStreams(1, planes=False)
     assert isinstance(streams.stream("x"), np.random.Generator)
     streams = RngStreams(1, planes=True)
     assert isinstance(streams.stream("x"), PlanedGenerator)
-    monkeypatch.setenv("REPRO_RNG_PLANES", "0")
-    assert isinstance(RngStreams(1).stream("x"), np.random.Generator)
-    monkeypatch.delenv("REPRO_RNG_PLANES")
     assert isinstance(RngStreams(1).stream("x"), PlanedGenerator)
 
 
