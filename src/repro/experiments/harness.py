@@ -84,6 +84,13 @@ class Bench:
                        strict_limit: bool = False) -> None:
         """Advance in chunks until *test.finished* or the time limit.
 
+        A program whose finish hook halts the simulator (``run_scenario``
+        wires ``on_finish`` to ``Simulator.halt`` for unobserved runs)
+        stops at the event that completes it, mid-chunk.  *chunk_ns* is
+        therefore the horizon of observed runs only -- they simulate on
+        to the first chunk boundary after the finish, which their
+        reports describe -- and the interval between stall polls.
+
         If every queue drains while the test is still unfinished the
         simulation can never progress again; rather than silently
         burning the remaining limit we raise a diagnostic immediately,

@@ -456,6 +456,12 @@ def run_scenario(spec: ScenarioSpec,
     program = measurement_entry(m.program).build(bench, m, affinity)
     if tracer is not None:
         tracer.watch_program(program)
+    if (validator is None and tracer is None
+            and (fault_ctl is None or not fault_ctl.enabled)):
+        # Nothing observes the run past the last sample, so stop at the
+        # event that records it.  Observed runs keep the chunk horizon
+        # their reports (hits, recordings, fault timelines) describe.
+        program.on_finish = bench.sim.halt
     spawn(bench.kernel, program.spec())
 
     shield = spec.shield

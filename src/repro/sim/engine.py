@@ -34,6 +34,11 @@ Hot-path design (the perf suite in ``benchmarks/perf`` tracks this):
   and re-arms by ``insort`` into the run (still inside the window) or
   back onto the wheel (beyond it).  Cancelled staged entries are
   skipped at dispatch and stay visible to introspection until then.
+* :meth:`Simulator.halt` stops an advance right after the current
+  callback.  It bumps ``wheel._ins``, so the fused loop learns of it
+  through the comparison it already makes; the staged path checks once
+  per periodic fire, after the re-arm.  Whatever is still staged stays
+  in ``_active_run``, where the next advance picks it up.
 * :meth:`Simulator.step` is the same merge done one event at a time:
   the heap head against the wheel head, with a fresh comparison per
   event.  It is the oracle ``run``/``run_until`` are tested against.
@@ -95,6 +100,8 @@ class Simulator:
         # staged it; introspection helpers below fold it in so staged
         # events are never invisible.
         self._active_run: list = []
+        # Set by halt(); cleared when an advance starts.
+        self._halted = False
         self.rng = RngStreams(DEFAULT_SEED if seed is None else seed)
         self.trace = TraceBuffer(trace_capacity)
         # Typed tracepoint registry (disabled; the machine sizes its
@@ -350,11 +357,27 @@ class Simulator:
                     wheel.insert(handle)
             run.clear()
 
+    def halt(self) -> None:
+        """Make the running advance return after the current callback.
+
+        The clock stays at the halting event and nothing is dropped: a
+        later ``run``/``run_until`` continues with exactly the
+        ``(when, seq)`` history an unhalted advance would have had.  A
+        halt requested outside an advance has no effect on the next one.
+        """
+        self._halted = True
+        # The fused one-shot loop already compares this generation
+        # after every callback; bumping it routes the halt through that
+        # check at no cost to the unhalted path.
+        self._wheel._ins += 1
+
     def _advance(self, limit: float) -> None:
         """Fire every event with packed key <= *limit* in key order.
 
         *limit* is a packed key, or ``_INF_KEY`` to drain both queues.
+        Returns early after a callback that calls :meth:`halt`.
         """
+        self._halted = False
         heap = self._heap
         handles = self._handles
         wheel = self._wheel
@@ -395,6 +418,8 @@ class Simulator:
                     gen = wheel._ins
                     cb()
                     if wheel._ins != gen:
+                        if self._halted:
+                            return
                         # A new periodic was armed; it may be due before
                         # the current boundary.  Re-stage the window.
                         restage = True
@@ -427,6 +452,8 @@ class Simulator:
                         insort(run, (nkey, handle))
                     else:
                         wheel.insert(handle)
+                if self._halted:
+                    return
         finally:
             self._events_fired += fired
 
@@ -435,10 +462,11 @@ class Simulator:
 
         The clock is left at *when* even if the last event fired
         earlier; this gives callers a consistent "the simulated world
-        has reached t" view.
+        has reached t" view.  After a :meth:`halt` it stays at the
+        halting event instead.
         """
         self._advance(((when + 1) << SEQ_BITS) - 1)
-        if when > self.now:
+        if when > self.now and not self._halted:
             self.now = when
 
     def run(self) -> None:

@@ -29,6 +29,26 @@ class WorkloadSpec:
     affinity: Optional["CpuMask"] = None
 
 
+class MeasurementProgram:
+    """Completion protocol of the fixed-count measurement programs.
+
+    A program's body calls :meth:`_finish` at the one point where its
+    recorder holds every requested sample.  That sets ``finished`` and
+    then calls ``on_finish`` if one is set: ``run_scenario`` points it
+    at ``Simulator.halt`` for unobserved runs, so the cell stops at the
+    event that completed the measurement instead of simulating on to
+    the next chunk boundary.
+    """
+
+    finished: bool = False
+    on_finish: Optional[Callable[[], None]] = None
+
+    def _finish(self) -> None:
+        self.finished = True
+        if self.on_finish is not None:
+            self.on_finish()
+
+
 def spawn(kernel: "Kernel", spec: WorkloadSpec) -> "Task":
     """Create the task for one workload spec."""
     api = UserApi(kernel)

@@ -20,13 +20,13 @@ from repro.kernel.syscalls import UserApi
 from repro.kernel.task import SchedPolicy
 from repro.metrics.recorder import LatencyRecorder
 from repro.sim.simtime import MSEC
-from repro.workloads.base import WorkloadSpec
+from repro.workloads.base import MeasurementProgram, WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.affinity import CpuMask
 
 
-class CyclicTest:
+class CyclicTest(MeasurementProgram):
     """Periodic nanosleep wakeup-latency sampler."""
 
     def __init__(self, interval_ns: int = 1 * MSEC, cycles: int = 1_000,
@@ -41,7 +41,6 @@ class CyclicTest:
         self.affinity = affinity
         self.name = name
         self.recorder = LatencyRecorder(name, capacity=cycles)
-        self.finished = False
 
     def spec(self) -> WorkloadSpec:
         return WorkloadSpec(name=self.name, body=self._body,
@@ -70,7 +69,7 @@ class CyclicTest:
                 # the way cyclictest does.
                 missed = (woke - next_deadline) // self.interval_ns + 1
                 next_deadline += missed * self.interval_ns
-        self.finished = True
+        self._finish()
 
     def estimated_sim_ns(self) -> int:
         return int(self.cycles * self.interval_ns * 4) + 10 ** 9

@@ -20,7 +20,7 @@ from repro.kernel.syscalls import UserApi
 from repro.kernel.task import SchedPolicy
 from repro.metrics.recorder import JitterRecorder
 from repro.sim.simtime import SEC
-from repro.workloads.base import WorkloadSpec
+from repro.workloads.base import MeasurementProgram, WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.affinity import CpuMask
@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PAPER_IDEAL_NS = 1_147_000_000
 
 
-class DeterminismTest:
+class DeterminismTest(MeasurementProgram):
     """The CPU-bound sine-loop measurement program."""
 
     def __init__(self, iterations: int = 60,
@@ -44,7 +44,6 @@ class DeterminismTest:
         self.name = name
         self.recorder = JitterRecorder(name, ideal_ns=None,
                                        capacity=iterations)
-        self.finished = False
 
     def spec(self) -> WorkloadSpec:
         return WorkloadSpec(name=self.name, body=self._body,
@@ -64,7 +63,7 @@ class DeterminismTest:
             yield from api.compute(self.loop_ns, label="sine-loop")
             t1 = yield api.tsc()
             self.recorder.record_duration(t1 - t0)
-        self.finished = True
+        self._finish()
 
     # ------------------------------------------------------------------
     def ideal_ns(self) -> int:

@@ -15,14 +15,14 @@ from typing import Generator, Optional, TYPE_CHECKING
 from repro.kernel.syscalls import UserApi
 from repro.kernel.task import SchedPolicy
 from repro.metrics.recorder import LatencyRecorder
-from repro.workloads.base import WorkloadSpec
+from repro.workloads.base import MeasurementProgram, WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.affinity import CpuMask
     from repro.hw.devices.rcim import RcimCard
 
 
-class RcimResponseTest:
+class RcimResponseTest(MeasurementProgram):
     """RCIM count-register latency sampler."""
 
     def __init__(self, device: "RcimCard", samples: int = 100_000,
@@ -35,7 +35,6 @@ class RcimResponseTest:
         self.affinity = affinity
         self.name = name
         self.recorder = LatencyRecorder(name, capacity=samples)
-        self.finished = False
 
     def spec(self) -> WorkloadSpec:
         return WorkloadSpec(name=self.name, body=self._body,
@@ -54,7 +53,7 @@ class RcimResponseTest:
             # space immediately after the ioctl returns.
             latency = yield api.call(self.device.read_count)
             self.recorder.record_latency(latency)
-        self.finished = True
+        self._finish()
 
     def estimated_sim_ns(self) -> int:
         return int(self.samples * self.device.period_ns * 1.5) + 10 ** 9

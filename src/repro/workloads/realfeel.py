@@ -14,14 +14,14 @@ from typing import Generator, Optional, TYPE_CHECKING
 from repro.kernel.syscalls import UserApi
 from repro.kernel.task import SchedPolicy
 from repro.metrics.recorder import LatencyRecorder
-from repro.workloads.base import WorkloadSpec
+from repro.workloads.base import MeasurementProgram, WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.affinity import CpuMask
     from repro.hw.devices.rtc import RtcDevice
 
 
-class Realfeel:
+class Realfeel(MeasurementProgram):
     """RTC latency sampler."""
 
     def __init__(self, device: "RtcDevice", samples: int = 100_000,
@@ -38,7 +38,6 @@ class Realfeel:
         #: Direct fire-to-return latencies (diagnostic; not what
         #: realfeel itself can measure).
         self.direct = LatencyRecorder(f"{name}-direct", capacity=samples)
-        self.finished = False
 
     def spec(self) -> WorkloadSpec:
         return WorkloadSpec(name=self.name, body=self._body,
@@ -60,7 +59,7 @@ class Realfeel:
             t = yield api.tsc()
             self.recorder.record_return(t)
             self.direct.record_latency(t - fire)
-        self.finished = True
+        self._finish()
 
     def estimated_sim_ns(self) -> int:
         """Simulated time to collect the requested samples (+slack)."""

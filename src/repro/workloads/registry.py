@@ -18,7 +18,9 @@ Measurement programs
     returned program exposes the usual protocol: ``spec()``,
     ``finished``, ``recorder`` and ``estimated_sim_ns()``; programs
     that drive the simulation themselves (FBS) additionally provide
-    ``drive(bench)``.
+    ``drive(bench)``; all others subclass
+    :class:`~repro.workloads.base.MeasurementProgram`, whose
+    ``on_finish`` hook fires when ``finished`` is set.
 """
 
 from __future__ import annotations

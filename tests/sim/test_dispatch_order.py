@@ -9,7 +9,9 @@ clock to ``t``.  Batching may only reorder bookkeeping, never
 callbacks, so both must produce the identical ``(tag, now)`` history,
 clock and ``events_fired`` -- on an adversarial fixed schedule and on
 random ones.  The staged-run tests check that batching never hides
-events from introspection.
+events from introspection.  The halt tests check that ``halt()`` stops
+an advance right after the halting callback, on both dispatch paths,
+and that resuming reproduces the unhalted ``(when, seq)`` history.
 """
 
 import pytest
@@ -32,6 +34,20 @@ def _step_drain(sim):
     """The oracle for ``sim.run()``."""
     while sim.step():
         pass
+
+
+def _resume_until(sim, when, stops):
+    """``run_until(when)``, resumed after every halt; logs the stops."""
+    sim.run_until(when)
+    while sim.now < when:
+        stops.append(sim.now)
+        sim.run_until(when)
+
+
+def _resume_drain(sim):
+    sim.run()
+    while sim.peek_time() is not None:
+        sim.run()
 
 
 def _trace_schedule(sim, log):
@@ -130,15 +146,22 @@ _ACTION = st.one_of(
     st.tuples(st.just("arm"), st.integers(0, 40), st.integers(2, 50)),
 )
 
-_PLAN = st.fixed_dictionaries({
-    # (first fire, period, fire number that acts, action)
-    "periodics": st.lists(st.tuples(st.integers(0, 100), st.integers(2, 60),
-                                    st.integers(1, 5), _ACTION),
-                          max_size=4),
-    "oneshots": st.lists(st.tuples(st.integers(0, 400), _ACTION),
-                         max_size=20),
-    "marks": st.lists(st.integers(0, 500), max_size=6).map(sorted),
-})
+
+def _plan(action):
+    return st.fixed_dictionaries({
+        # (first fire, period, fire number that acts, action)
+        "periodics": st.lists(st.tuples(st.integers(0, 100),
+                                        st.integers(2, 60),
+                                        st.integers(1, 5), action),
+                              max_size=4),
+        "oneshots": st.lists(st.tuples(st.integers(0, 400), action),
+                             max_size=20),
+        "marks": st.lists(st.integers(0, 500), max_size=6).map(sorted),
+    })
+
+
+_PLAN = _plan(_ACTION)
+_HALTING_PLAN = _plan(st.one_of(_ACTION, st.tuples(st.just("halt"))))
 
 
 class _Program:
@@ -193,6 +216,8 @@ class _Program:
             # cannot keep it running forever.
             self._arm(action[2], 0, ("none",), limit=6,
                       first_delay=action[1])
+        elif kind == "halt":
+            self.sim.halt()
 
     def history(self, marks, advance, drain):
         sim = self.sim
@@ -218,6 +243,16 @@ class TestRandomSchedules:
         batched = _random_history(plan, Simulator.run_until, Simulator.run)
         oracle = _random_history(plan, _step_until, _step_drain)
         assert batched == oracle
+
+    @settings(max_examples=120, deadline=None)
+    @given(_HALTING_PLAN)
+    def test_resumed_halts_match_step_replay(self, plan):
+        stops = []
+        halted = _random_history(
+            plan, lambda sim, t: _resume_until(sim, t, stops),
+            _resume_drain)
+        oracle = _random_history(plan, _step_until, _step_drain)
+        assert halted == oracle
 
 
 # --- staged-run state ---------------------------------------------------
@@ -312,3 +347,145 @@ class TestBatchedBoundaries:
         assert sim.events_pending >= 1
         sim.run_until(1000)
         assert fired == [100, 200, 300, 400, 500, 600, 700, 800, 900, 1000]
+
+
+# --- halt ---------------------------------------------------------------
+
+def _halting_schedule(sim, log):
+    """The adversarial schedule plus one halt on each dispatch path.
+
+    Callbacks log ``(tag, now, seq)``: the seq counter pins every seq
+    drawn so far, so equal logs mean an equal ``(when, seq)`` history.
+    """
+    periodics = _trace_schedule(sim, log)
+
+    def note(tag):
+        return lambda: log.append((tag, sim.now, sim._seq))
+
+    # Staged periodic: its third fire (t=135) halts.
+    fires = [0]
+
+    def p45():
+        fires[0] += 1
+        log.append(("p45", sim.now, sim._seq))
+        if fires[0] == 3:
+            sim.halt()
+    periodics.append(sim.periodic(45, p45, label="p45"))
+    sim.at(140, note("after-p45"))
+
+    # Fused one-shot path.
+    def halter():
+        log.append(("halter", sim.now, sim._seq))
+        sim.halt()
+    sim.at(170, halter)
+
+    # A one-shot that arms a periodic and halts in the same callback.
+    def arm_and_halt():
+        log.append(("arm-and-halt", sim.now, sim._seq))
+        periodics.append(sim.periodic(11, note("p11"), label="p11"))
+        sim.halt()
+    sim.at(333, arm_and_halt)
+    return periodics
+
+
+def _halting_history(advance, drain):
+    sim = Simulator(seed=7)
+    log = []
+    periodics = _halting_schedule(sim, log)
+    for t in _MARKS:
+        advance(sim, t)
+        log.append(("mark", sim.now, sim.events_fired, sim.events_pending,
+                    sim.peek_time()))
+    for handle in periodics:
+        handle.cancel()
+    drain(sim)
+    return log, sim.now, sim.events_fired, sim._seq
+
+
+class TestHalt:
+    def test_resumed_run_matches_step_replay(self):
+        stops = []
+        halted = _halting_history(
+            lambda sim, t: _resume_until(sim, t, stops), _resume_drain)
+        oracle = _halting_history(_step_until, _step_drain)
+        assert halted == oracle
+        # One stop per halting callback, each at that callback's time.
+        assert stops == [135, 170, 333]
+        tags = {entry[0] for entry in halted[0]}
+        assert {"p45", "after-p45", "halter", "arm-and-halt", "p11"} <= tags
+
+    def test_halt_from_oneshot_keeps_clock_at_event(self):
+        sim = Simulator(seed=1)
+        fired = []
+        sim.periodic(100, lambda: fired.append(sim.now))
+        sim.at(250, sim.halt)
+        sim.at(260, lambda: fired.append(sim.now))
+        sim.run_until(1000)
+        assert sim.now == 250
+        assert fired == [100, 200]
+        assert sim.peek_time() == 260
+        sim.run_until(1000)
+        assert sim.now == 1000
+        assert fired == [100, 200, 260] + list(range(300, 1001, 100))
+
+    def test_halt_from_staged_periodic_keeps_staged_run(self):
+        sim = Simulator(seed=1)
+        fired = []
+
+        def first():
+            fired.append(("a", sim.now))
+            sim.halt()
+        a = sim.periodic(100, first, label="tick-a")
+        sim.periodic(150, lambda: fired.append(("b", sim.now)),
+                     label="tick-b")
+        sim.at(120, lambda: fired.append(("o", sim.now)))
+        sim.run_until(1000)
+        assert sim.now == 100
+        assert fired == [("a", 100)]
+        # The re-armed tick-a (200) and tick-b (150) are still staged.
+        assert sim._active_run
+        assert sim.peek_time() == 120
+        assert sim.events_pending == 3
+        summary = sim.pending_summary()
+        assert "tick-a" in summary and "tick-b" in summary
+        assert "staged" in summary
+        a.cancel()
+        sim.run_until(400)
+        assert sim.now == 400
+        assert fired == [("a", 100), ("o", 120), ("b", 150), ("b", 300)]
+
+    def test_halt_from_callback_that_arms_a_periodic(self):
+        sim = Simulator(seed=1)
+        fired = []
+
+        def arm():
+            sim.periodic(10, lambda: fired.append(sim.now), label="new")
+            sim.halt()
+        sim.at(50, arm)
+        sim.run_until(100)
+        assert sim.now == 50
+        assert fired == []
+        assert sim.peek_time() == 60
+        assert "new" in sim.pending_summary()
+        sim.run_until(100)
+        assert fired == [60, 70, 80, 90, 100]
+
+    def test_halt_outside_an_advance_is_ignored(self):
+        sim = Simulator(seed=1)
+        fired = []
+        sim.at(10, lambda: fired.append(sim.now))
+        sim.halt()
+        sim.run_until(100)
+        assert sim.now == 100
+        assert fired == [10]
+
+    def test_run_returns_at_halt(self):
+        sim = Simulator(seed=1)
+        fired = []
+        sim.at(10, sim.halt)
+        sim.at(20, lambda: fired.append(sim.now))
+        sim.run()
+        assert sim.now == 10
+        assert fired == []
+        sim.run()
+        assert fired == [20]

@@ -1,15 +1,17 @@
-"""Tests for the three measurement programs."""
+"""Tests for the measurement programs."""
 
 import pytest
 
 from repro.configs.kernels import redhawk_1_4, vanilla_2_4_21
 from repro.core.affinity import CpuMask
 from repro.experiments.harness import build_bench
+from repro.experiments.scenario import all_scenarios, build_scenario_bench
 from repro.hw.machine import interrupt_testbed
 from repro.kernel.task import SchedPolicy
 from repro.workloads.base import spawn
 from repro.workloads.determinism import DeterminismTest
 from repro.workloads.realfeel import Realfeel
+from repro.workloads.registry import measurement_entry, measurement_names
 from repro.workloads.rcim_response import RcimResponseTest
 
 
@@ -104,3 +106,42 @@ class TestRcimProgram:
         bench.run_until_done(test, limit_ns=test.estimated_sim_ns())
         # Count-register reads are relative to cycle start: all small.
         assert all(0 < s < bench.rcim.period_ns for s in test.recorder.samples)
+
+
+def _scenario_for(program):
+    for spec in all_scenarios():
+        if spec.measurement.program == program:
+            return spec
+    pytest.fail(f"measurement program {program!r} has no scenario")
+
+
+def test_every_registered_program_calls_finish_hook():
+    """Every program without ``drive`` reports completion via the hook.
+
+    ``run_scenario`` stops unobserved cells through it; a program that
+    only set ``finished`` would silently run on to the chunk horizon.
+    """
+    hooked = []
+    for name in measurement_names():
+        spec = _scenario_for(name).configured(samples=20, iterations=1)
+        bench = build_scenario_bench(spec)
+        bench.start_devices()
+        if spec.rtc_periodic:
+            bench.rtc.enable_periodic()
+        if spec.rcim_timer:
+            bench.rcim.enable_timer()
+        program = measurement_entry(name).build(bench, spec.measurement,
+                                                None)
+        if hasattr(program, "drive"):
+            continue  # runs a fixed duration; nothing to stop early
+        calls = []
+        program.on_finish = lambda: calls.append(
+            (program.finished, program.recorder.count))
+        spawn(bench.kernel, program.spec())
+        bench.run_until_done(program, limit_ns=program.estimated_sim_ns(),
+                             strict_limit=True)
+        # Once, after ``finished`` is set, with every sample recorded.
+        assert calls == [(True, program.recorder.count)], name
+        assert program.recorder.count > 0, name
+        hooked.append(name)
+    assert {"cyclictest", "determinism", "rcim", "realfeel"} <= set(hooked)
