@@ -438,19 +438,15 @@ def _cmd_list_faults(argv) -> int:
 
 def _resolve_storm(parser, scenario_name: str, plan_name: str):
     """(spec, plan): default the plan from the scenario name."""
-    from repro.faults import UnknownFaultPlanError, fault_plan
+    from repro.faults.plan import UnknownFaultPlanError, resolve_plan
 
     try:
         spec = scenario(scenario_name)
     except UnknownScenarioError:
         parser.error(f"unknown scenario {scenario_name!r} "
                      f"(use 'list-scenarios')")
-    if not plan_name:
-        base = scenario_name[len("storm-"):] \
-            if scenario_name.startswith("storm-") else scenario_name
-        plan_name = spec.fault_plan or f"storm-{base}"
     try:
-        return spec, fault_plan(plan_name)
+        return spec, resolve_plan(spec, plan_name)
     except UnknownFaultPlanError as exc:
         parser.error(str(exc))
 

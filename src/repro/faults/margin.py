@@ -15,10 +15,11 @@ from named child streams, so a rung's injection timeline is a pure
 function of (seed, plan, intensity) -- the per-cell digests in the
 report prove byte-for-byte identical injection across worker counts.
 
-Execution mirrors :class:`~repro.experiments.campaign.CampaignRunner`:
-deterministic job expansion, a fork pool streaming unordered results,
-and reassembly in expansion order, so ``--workers 1`` and
-``--workers 4`` produce identical JSON.
+Execution is the shared cell executor (:mod:`repro.experiments.cells`)
+that campaigns and the service also run on: deterministic job
+expansion, a worker pool returning results in completion order, and
+reassembly in expansion order, so ``--workers 1`` and ``--workers 4``
+produce identical JSON.
 
 The ladder also shares the campaign's content-addressed result store:
 each cell is keyed by its full :class:`ScenarioSpec` (which carries
@@ -31,20 +32,13 @@ markers and reported as unbounded without re-running.
 
 from __future__ import annotations
 
-import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.experiments.scenario import (
-    ScenarioResult,
-    ScenarioSpec,
-    ShieldSpec,
-    run_scenario,
-    scenario,
-)
-from repro.sim.errors import SimulationStalledError
+from repro.experiments.cells import Cell, CellOutcome, run_all
+from repro.experiments.scenario import ScenarioSpec, ShieldSpec, scenario
 from repro.sim.simtime import MSEC
-from repro.store import job_key, open_store
+from repro.store import open_store
 from repro.store.keys import code_version
 
 #: Default intensity ladder (multiples of the plan's baseline).
@@ -92,33 +86,22 @@ class MarginJob:
     shielded: bool
     spec: ScenarioSpec
 
+    def cell(self) -> Cell:
+        """This rung cell for the executor (a stall is a data point)."""
+        return Cell(index=self.index, op="margin", spec=self.spec)
 
-def _run_margin_job(job: MarginJob
-                    ) -> Tuple[int, Optional[ScenarioResult],
-                               Optional[str]]:
-    """Worker entry point (module-level: must pickle under spawn).
 
-    A stalled simulation -- interference so heavy the measurement
-    never finishes inside its budget -- counts as an unbounded cell,
-    not an error: that is exactly the degradation the margin measures.
-    Returns ``(index, result, None)`` or ``(index, None, error)`` so
-    the parent can both build the cell and persist the full run.
+def _cell(outcome: CellOutcome) -> Dict[str, Any]:
+    """One ladder cell from its outcome: a completed run or a stall.
+
+    The only way a run becomes a cell, whatever executed it -- the
+    in-process runner, a pool worker, a store hit or the service --
+    which keeps a ladder's JSON byte-identical across all of them.
     """
-    try:
-        result = run_scenario(job.spec)
-    except SimulationStalledError as exc:
-        return job.index, None, str(exc)
-    return job.index, result, None
-
-
-def cell_from_result(result: ScenarioResult) -> Dict[str, Any]:
-    """One ladder cell from a completed run.
-
-    Public because it is the *only* way a run becomes a cell: the
-    in-process runner, the store-hit path and the simserve scheduler
-    all fold through here, which is what keeps a ladder's JSON
-    byte-identical whatever executed its cells.
-    """
+    result = outcome.result
+    if result is None:
+        return {"stalled": True, "max_ns": None,
+                "error": outcome.error or "", "faults": None}
     faults = result.faults
     cell: Dict[str, Any] = {
         "stalled": False,
@@ -132,38 +115,30 @@ def cell_from_result(result: ScenarioResult) -> Dict[str, Any]:
     return cell
 
 
-def stalled_cell(error: str) -> Dict[str, Any]:
-    return {"stalled": True, "max_ns": None, "error": error,
-            "faults": None}
-
-
 @dataclass
 class MarginResult:
     """The sweep outcome plus the derived margin."""
 
     spec: MarginSpec
-    jobs: List[MarginJob]
-    cells: List[Dict[str, Any]]
-    workers: int = 1
-    rungs: List[Dict[str, Any]] = field(default_factory=list)
+    rungs: List[Dict[str, Any]]
 
-    def __post_init__(self) -> None:
-        if not self.rungs:
-            self.rungs = self._fold()
+    @classmethod
+    def from_outcomes(cls, spec: MarginSpec,
+                      outcomes: List[CellOutcome]) -> "MarginResult":
+        """Fold the sweep's cell outcomes (in expansion order) into rungs.
 
-    def _fold(self) -> List[Dict[str, Any]]:
-        rungs: List[Dict[str, Any]] = []
-        bound = self.spec.bound_ns
-        for i in range(0, len(self.jobs), 2):
-            shielded, unshielded = self.cells[i], self.cells[i + 1]
-            rungs.append({
-                "intensity": self.jobs[i].intensity,
-                "shielded": shielded,
-                "unshielded": unshielded,
-                "shielded_within_bound": _within(shielded, bound),
-                "unshielded_within_bound": _within(unshielded, bound),
-            })
-        return rungs
+        The one fold the CLI runner and the service both call.
+        """
+        cells = [_cell(outcome) for outcome in outcomes]
+        bound = spec.bound_ns
+        return cls(spec=spec, rungs=[
+            {"intensity": intensity,
+             "shielded": shielded,
+             "unshielded": unshielded,
+             "shielded_within_bound": _within(shielded, bound),
+             "unshielded_within_bound": _within(unshielded, bound)}
+            for intensity, shielded, unshielded
+            in zip(spec.intensities, cells[0::2], cells[1::2])])
 
     # ------------------------------------------------------------------
     def attach_predictions(self, ladder: List[Dict[str, Any]]) -> None:
@@ -304,7 +279,7 @@ def _cell_str(cell: Dict[str, Any]) -> str:
 def run_margin(spec: MarginSpec, workers: int = 1,
                store: Any = None, use_cache: bool = True
                ) -> MarginResult:
-    """Expand and execute the sweep (campaign-runner execution model).
+    """Expand and execute the sweep on the shared cell executor.
 
     With a *store* attached, each cell is first looked up by its
     spec's content key; hits (including cached stalled markers) are
@@ -315,49 +290,8 @@ def run_margin(spec: MarginSpec, workers: int = 1,
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    jobs = spec.expand()
     result_store = open_store(store)
     code = code_version() if result_store is not None else ""
-
-    cells: List[Optional[Dict[str, Any]]] = [None] * len(jobs)
-    pending: List[MarginJob] = []
-    for job in jobs:
-        if result_store is not None and use_cache:
-            entry = result_store.get(job_key(job.spec, code))
-            if entry is not None:
-                cells[job.index] = (stalled_cell(entry.error)
-                                    if entry.stalled
-                                    else cell_from_result(entry.result))
-                continue
-        pending.append(job)
-
-    def ingest(index: int, result: Optional[ScenarioResult],
-               error: Optional[str]) -> None:
-        job = jobs[index]
-        if result_store is not None:
-            key = job_key(job.spec, code)
-            if result is not None:
-                result_store.put(key, result, code)
-            else:
-                result_store.put_stalled(key, job.spec.name,
-                                         error or "", code)
-        cells[index] = (cell_from_result(result) if result is not None
-                        else stalled_cell(error or ""))
-
-    if pending:
-        if workers == 1 or len(pending) == 1:
-            for job in pending:
-                ingest(*_run_margin_job(job))
-        else:
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn")
-            pool_workers = min(workers, len(pending))
-            chunksize = max(1, len(pending) // (pool_workers * 8))
-            with ctx.Pool(processes=pool_workers) as pool:
-                for index, result, error in pool.imap_unordered(
-                        _run_margin_job, pending, chunksize=chunksize):
-                    ingest(index, result, error)
-    return MarginResult(spec=spec, jobs=jobs,
-                        cells=[c for c in cells if c is not None],
-                        workers=workers)
+    cells = [job.cell() for job in spec.expand()]
+    return MarginResult.from_outcomes(
+        spec, run_all(cells, result_store, code, workers, use_cache))

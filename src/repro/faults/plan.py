@@ -94,6 +94,18 @@ def fault_plan(name: str) -> FaultPlan:
             f"{fault_plan_names()}") from None
 
 
+def resolve_plan(base: Any, plan_name: str = "") -> FaultPlan:
+    """The fault plan a storm run of scenario *base* uses.
+
+    *plan_name* if given, else the scenario's own plan, else
+    ``storm-<name>`` (any ``storm-`` prefix stripped from the name).
+    """
+    if not plan_name:
+        plan_name = (base.fault_plan
+                     or f"storm-{base.name.removeprefix('storm-')}")
+    return fault_plan(plan_name)
+
+
 def fault_plan_names() -> List[str]:
     return sorted(_PLANS)
 

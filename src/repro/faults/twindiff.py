@@ -13,9 +13,12 @@ divergent tracepoint span named in simulated-time coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
+from repro.experiments.cells import Cell, CellOutcome, run_all
+from repro.experiments.scenario import ShieldSpec, scenario
+from repro.faults.plan import resolve_plan
 from repro.sim.simtime import MSEC
 
 #: The paper's shielded response-time bound (1 ms).
@@ -44,7 +47,22 @@ class TwinDiffResult:
     unshielded: Any                  # TraceRecording
     diff: Any                        # TraceDiff
     bound_ns: int = PAPER_BOUND_NS
-    details: Dict[str, Any] = field(default_factory=dict)
+
+    @classmethod
+    def from_outcomes(cls, twin: TwinDiffSpec,
+                      outcomes: List[CellOutcome]) -> "TwinDiffResult":
+        """Diff the two recordings of :func:`twin_cells`, in order.
+
+        The one fold the CLI runner and the service both call.
+        """
+        from repro.observe.diff import TraceRecording, diff_recordings
+
+        shielded, unshielded = (TraceRecording.from_body(outcome.body)
+                                for outcome in outcomes)
+        diff = diff_recordings(shielded, unshielded,
+                               a_label="shielded", b_label="unshielded")
+        return cls(spec=twin, shielded=shielded, unshielded=unshielded,
+                   diff=diff)
 
     @property
     def shielded_within_bound(self) -> bool:
@@ -64,7 +82,7 @@ class TwinDiffResult:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "scenario": self.spec.scenario,
-            "plan": self.details.get("plan", self.spec.plan),
+            "plan": self.shielded.fault_plan,
             "intensity": self.spec.intensity,
             "seed": self.shielded.seed,
             "bound_ns": self.bound_ns,
@@ -79,40 +97,28 @@ class TwinDiffResult:
             top_spans=top_spans)
 
 
-def resolve_plan_name(spec: Any, scenario_name: str,
-                      plan_name: str) -> str:
-    """Default the fault plan from the scenario, storm-CLI style."""
-    if plan_name:
-        return plan_name
-    base = (scenario_name[len("storm-"):]
-            if scenario_name.startswith("storm-") else scenario_name)
-    return spec.fault_plan or f"storm-{base}"
+def twin_cells(twin: TwinDiffSpec) -> List[Cell]:
+    """The shielded recording cell, then its unshielded twin.
 
-
-def run_twin_diff(twin: TwinDiffSpec) -> TwinDiffResult:
-    """Record both twins of one storm scenario and diff them."""
-    from repro.experiments.scenario import ShieldSpec, scenario
-    from repro.faults.plan import fault_plan
-    from repro.observe.diff import diff_recordings, record_scenario
-
+    Raises ``ValueError`` for a scenario with no shield to strip.
+    """
     base = scenario(twin.scenario)
-    plan = fault_plan(resolve_plan_name(base, twin.scenario, twin.plan))
-    spec = base.configured(samples=twin.samples,
-                           iterations=twin.iterations, seed=twin.seed,
-                           fault_plan=plan.name,
-                           fault_intensity=twin.intensity)
+    spec = base.configured(
+        samples=twin.samples, iterations=twin.iterations, seed=twin.seed,
+        fault_plan=resolve_plan(base, twin.plan).name,
+        fault_intensity=twin.intensity)
     if not spec.shield.any_component:
         raise ValueError(
             f"scenario {twin.scenario!r} runs unshielded; twin-diff "
             f"needs a shielded baseline to strip")
-    unshielded_spec = spec.with_overrides(
+    unshielded = spec.with_overrides(
         shield=ShieldSpec(cpu=spec.shield.cpu))
+    return [Cell(index=0, op="record", spec=spec,
+                 capacity=twin.capacity),
+            Cell(index=1, op="record", spec=unshielded,
+                 capacity=twin.capacity)]
 
-    shielded, _ = record_scenario(spec, capacity=twin.capacity)
-    unshielded, _ = record_scenario(unshielded_spec,
-                                    capacity=twin.capacity)
-    diff = diff_recordings(shielded, unshielded,
-                           a_label="shielded", b_label="unshielded")
-    return TwinDiffResult(spec=twin, shielded=shielded,
-                          unshielded=unshielded, diff=diff,
-                          details={"plan": plan.name})
+
+def run_twin_diff(twin: TwinDiffSpec) -> TwinDiffResult:
+    """Record both twins of one storm scenario (storeless) and diff them."""
+    return TwinDiffResult.from_outcomes(twin, run_all(twin_cells(twin)))

@@ -5,9 +5,10 @@ Three layers over the content-addressed result store:
 * a **job queue + scheduler** (:mod:`repro.service.queue`,
   :mod:`repro.service.scheduler`) accepting campaign / margin /
   twin-diff / figure jobs as declarative specs, deduping them against
-  the store by content key, sharding cache-miss cells across a
-  process-pool with the campaign runner's adaptive chunking, and
-  journaling job state so a killed server resumes on restart;
+  the store by content key, running cache-miss cells on the process
+  pool and chunking the CLI runners share
+  (:mod:`repro.experiments.cells`), and journaling job state so a
+  killed server resumes on restart;
 * an **HTTP API** (:mod:`repro.service.http`, stdlib asyncio only)
   serving submissions, status polling/streaming, artifact and report
   fetches, and store/queue health to any number of concurrent

@@ -5,17 +5,13 @@ a campaign, a shield-margin ladder, a storm twin-diff, or a single
 figure export -- as plain JSON-able data.  Each job *expands* into
 :class:`Cell`\\ s: independent, picklable work units (one scenario run
 or one trace recording each) that carry their own content key into
-the result store.  The scheduler dedupes cells against the store,
-ships the misses to worker processes (:func:`run_cell` is the worker
-entry point), and *folds* the ordered outcomes back into the job's
-artifact with :func:`fold_job`.
-
-The fold goes through exactly the code paths the one-shot CLI uses
-(:func:`~repro.experiments.export.campaign_to_dict`,
-:class:`~repro.faults.margin.MarginResult`,
-:class:`~repro.faults.twindiff.TwinDiffResult`, ...), so the artifact
-text is **byte-identical** to what ``python -m repro.experiments``
-would have written to disk -- the service identity contract.
+the result store (the executor pieces live in
+:mod:`repro.experiments.cells`, shared with the CLI runners, and are
+re-exported here).  :func:`fold_job` folds the ordered outcomes into
+the job's artifact through the same folds the one-shot CLI calls, so
+the artifact text is **byte-identical** to what ``python -m
+repro.experiments`` would have written to disk -- the service
+identity contract.
 
 Job identity (:meth:`JobSpec.job_id`) is content-derived: the
 canonical spec plus the code-tree digest.  Re-submitting the same
@@ -25,25 +21,23 @@ tree names a new one, exactly like the store's cell keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import sys
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.experiments.scenario import (
-    ScenarioResult,
-    ScenarioSpec,
-    ShieldSpec,
-    UnknownScenarioError,
-    run_scenario,
-    scenario,
+from repro.experiments.cells import (
+    Cell,
+    CellOutcome,
+    cell_key,
+    load_cached,
+    run_cell,
+    run_cells,
 )
-from repro.sim.errors import SimulationStalledError
-from repro.store.keys import code_version, digest_of, job_key, recording_key
+from repro.experiments.scenario import UnknownScenarioError, scenario
+from repro.store.keys import code_version, digest_of
 
 #: The job kinds the service accepts.
 JOB_KINDS = ("campaign", "figure", "margin", "twin-diff")
-
-#: Default margin intensity ladder (mirrors the faults CLI default).
-DEFAULT_INTENSITIES = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
 class JobError(ValueError):
@@ -73,7 +67,7 @@ class JobSpec:
     seed: Optional[int] = None
     # margin / twin-diff
     plan: str = ""
-    intensities: Tuple[float, ...] = DEFAULT_INTENSITIES
+    intensities: Optional[Tuple[float, ...]] = None  # None: the default
     bound_us: float = 1000.0
     # twin-diff
     intensity: float = 1.0
@@ -88,25 +82,10 @@ class JobSpec:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "scenarios": list(self.scenarios),
-            "seeds": list(self.seeds),
-            "fault_plan": self.fault_plan,
-            "fault_intensity": self.fault_intensity,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "plan": self.plan,
-            "intensities": list(self.intensities),
-            "bound_us": self.bound_us,
-            "intensity": self.intensity,
-            "capacity": self.capacity,
-            "samples": self.samples,
-            "iterations": self.iterations,
-            "priority": self.priority,
-            "max_workers": self.max_workers,
-            "use_cache": self.use_cache,
-        }
+        """Plain JSON data (tuples as lists); :meth:`from_dict` inverts it."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in data.items()}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobSpec":
@@ -119,37 +98,10 @@ class JobSpec:
         if "kind" not in data:
             raise JobError(f"job spec needs a 'kind' "
                            f"(one of {', '.join(JOB_KINDS)})")
-        out = dict(data)
-        if "scenarios" in out:
-            value = out["scenarios"]
-            if isinstance(value, str):
-                value = [n.strip() for n in value.split(",") if n.strip()]
-            out["scenarios"] = tuple(str(n) for n in value)
-        if "seeds" in out:
-            value = out["seeds"]
-            if isinstance(value, str):
-                from repro.experiments.campaign import parse_seeds
-
-                try:
-                    value = parse_seeds(value)
-                except ValueError as exc:
-                    raise JobError(str(exc)) from None
-            try:
-                out["seeds"] = tuple(int(s) for s in value)
-            except (TypeError, ValueError):
-                raise JobError(f"malformed seeds {value!r}") from None
-        if "intensities" in out:
-            try:
-                out["intensities"] = tuple(float(x)
-                                           for x in out["intensities"])
-            except (TypeError, ValueError):
-                raise JobError(
-                    f"malformed intensities {out['intensities']!r}"
-                ) from None
-        try:
-            spec = cls(**out)
-        except TypeError as exc:
-            raise JobError(str(exc)) from None
+        out = {name: (None if value is None and name in _NULLABLE
+                      else _PARSERS[name](name, value))
+               for name, value in data.items()}
+        spec = cls(**out)
         spec.validate()
         return spec
 
@@ -182,14 +134,16 @@ class JobSpec:
                     raise JobError("a campaign job needs 'seeds'")
                 for name in self.scenarios:
                     scenario(name)
+                if self.fault_plan:
+                    _plan_name(None, self.fault_plan)
             else:
                 if not self.scenario:
                     raise JobError(
                         f"a {self.kind} job needs 'scenario'")
                 base = scenario(self.scenario)
                 if self.kind in ("margin", "twin-diff"):
-                    self._resolve_plan(base)
-                if self.kind == "margin" and not self.intensities:
+                    _plan_name(base, self.plan)
+                if self.kind == "margin" and self.intensities == ():
                     raise JobError("a margin job needs 'intensities'")
                 if (self.kind == "twin-diff"
                         and not base.shield.any_component):
@@ -199,136 +153,119 @@ class JobSpec:
         except UnknownScenarioError as exc:
             raise JobError(str(exc)) from None
 
-    def _resolve_plan(self, base: ScenarioSpec) -> str:
-        from repro.faults.plan import UnknownFaultPlanError, fault_plan
-        from repro.faults.twindiff import resolve_plan_name
 
-        name = resolve_plan_name(base, self.scenario, self.plan)
+def _plan_name(base: Any, name: str) -> str:
+    """The fault plan a job runs under (*base* supplies the default)."""
+    # Imported here: campaign and figure jobs need no fault code.
+    from repro.faults.plan import UnknownFaultPlanError, resolve_plan
+
+    try:
+        return resolve_plan(base, name).name
+    except UnknownFaultPlanError as exc:
+        raise JobError(str(exc)) from None
+
+
+# ----------------------------------------------------------------------
+# Strict field parsing: a wrong type is a JobError (400), never a
+# worker failure later on
+# ----------------------------------------------------------------------
+def _reject(name: str, what: str, value: Any) -> JobError:
+    return JobError(f"'{name}' must be {what}, got {value!r:.60}")
+
+
+def _text(name: str, value: Any) -> str:
+    if isinstance(value, str):
+        return value
+    raise _reject(name, "a string", value)
+
+
+def _integer(low: Optional[int]) -> Any:
+    def parse(name: str, value: Any) -> int:
+        if (isinstance(value, int) and not isinstance(value, bool)
+                and (low is None or value >= low)):
+            return value
+        raise _reject(name, "an integer" if low is None
+                      else f"an integer >= {low}", value)
+    return parse
+
+
+def _number(name: str, value: Any) -> float:
+    # Exact int/float comparisons: NaN, infinities and ints too large
+    # for a float all fall outside the range.
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 <= value <= sys.float_info.max):
+        return float(value)
+    raise _reject(name, "a finite number >= 0", value)
+
+
+def _flag(name: str, value: Any) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise _reject(name, "true or false", value)
+
+
+def _items(name: str, value: Any, parse: Any) -> Tuple[Any, ...]:
+    if isinstance(value, (list, tuple)):
+        return tuple(parse(name, item) for item in value)
+    raise _reject(name, "a list", value)
+
+
+def _names(name: str, value: Any) -> Tuple[str, ...]:
+    if isinstance(value, str):
+        return tuple(n.strip() for n in value.split(",") if n.strip())
+    return _items(name, value, _text)
+
+
+def _seeds(name: str, value: Any) -> Tuple[int, ...]:
+    if isinstance(value, str):
+        from repro.experiments.campaign import parse_seeds
+
         try:
-            return fault_plan(name).name
-        except UnknownFaultPlanError as exc:
+            value = parse_seeds(value)
+        except ValueError as exc:
             raise JobError(str(exc)) from None
+    return _items(name, value, _integer(0))
+
+
+def _numbers(name: str, value: Any) -> Tuple[float, ...]:
+    return _items(name, value, _number)
+
+
+#: One parser per JobSpec field.
+_PARSERS = {
+    "kind": _text, "scenarios": _names, "seeds": _seeds,
+    "fault_plan": _text, "fault_intensity": _number,
+    "scenario": _text, "seed": _integer(0), "plan": _text,
+    "intensities": _numbers, "bound_us": _number,
+    "intensity": _number, "capacity": _integer(1),
+    "samples": _integer(1), "iterations": _integer(1),
+    "priority": _integer(None), "max_workers": _integer(0),
+    "use_cache": _flag,
+}
+
+#: Fields whose "unset" value is None.
+_NULLABLE = frozenset(("fault_intensity", "seed", "intensities",
+                       "samples", "iterations"))
 
 
 # ----------------------------------------------------------------------
 # Cells: the independent, store-keyed work units of a job
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Cell:
-    """One picklable work unit: a scenario run or a trace recording.
-
-    ``op`` selects the worker behaviour and the store entry kind:
-
-    * ``"scenario"`` -- run and persist a full result; a stall is an
-      error (campaign semantics);
-    * ``"margin"`` -- run, but a stall is a *data point* (the ladder's
-      unbounded cell), persisted as a stalled marker;
-    * ``"record"`` -- run traced and persist the RTRACE1 body.
-    """
-
-    index: int
-    op: str
-    spec: ScenarioSpec
-    capacity: int = 0
-
-
-@dataclass
-class CellOutcome:
-    """What came back for one cell (exactly one field set per op)."""
-
-    index: int
-    result: Optional[ScenarioResult] = None
-    error: Optional[str] = None
-    body: Optional[Dict[str, Any]] = None
-
-
 def expand_cells(job: JobSpec) -> List[Cell]:
     """The job's deterministic cell list (validates as a side effect)."""
     job.validate()
     if job.kind == "campaign":
-        spec = _campaign_spec(job)
-        return [Cell(index=cj.index, op="scenario", spec=cj.spec)
-                for cj in spec.expand()]
+        return [cj.cell() for cj in _campaign_spec(job).expand()]
     if job.kind == "figure":
         spec = scenario(job.scenario).configured(
             samples=job.samples, iterations=job.iterations,
             seed=job.seed)
         return [Cell(index=0, op="scenario", spec=spec)]
     if job.kind == "margin":
-        return [Cell(index=mj.index, op="margin", spec=mj.spec)
-                for mj in _margin_spec(job).expand()]
-    # twin-diff: the shielded recording then its unshielded twin.
-    shielded, unshielded = _twin_specs(job)
-    return [Cell(index=0, op="record", spec=shielded,
-                 capacity=job.capacity),
-            Cell(index=1, op="record", spec=unshielded,
-                 capacity=job.capacity)]
+        return [mj.cell() for mj in _margin_spec(job).expand()]
+    from repro.faults.twindiff import twin_cells
 
-
-def cell_key(cell: Cell, code: str) -> str:
-    """The content-store key this cell's outcome lives under."""
-    if cell.op == "record":
-        return recording_key(cell.spec, cell.capacity, code=code)
-    return job_key(cell.spec, code)
-
-
-def load_cached(store: Any, cell: Cell, code: str
-                ) -> Optional[CellOutcome]:
-    """The cell's outcome from the store, or None on a miss.
-
-    A stalled marker is a *hit* for margin cells (the ladder caches
-    unbounded rungs) and a miss for scenario cells (the campaign
-    recomputes, mirroring :class:`CampaignRunner`).
-    """
-    if cell.op == "record":
-        body = store.get_recording(cell_key(cell, code))
-        if body is None:
-            return None
-        return CellOutcome(index=cell.index, body=body)
-    entry = store.get(cell_key(cell, code))
-    if entry is None:
-        return None
-    if entry.stalled:
-        if cell.op == "margin":
-            return CellOutcome(index=cell.index, error=entry.error or "")
-        return None
-    return CellOutcome(index=cell.index, result=entry.result)
-
-
-def persist(store: Any, cell: Cell, outcome: CellOutcome,
-            code: str) -> None:
-    """Write one computed outcome to the store (atomic, keyed)."""
-    key = cell_key(cell, code)
-    if cell.op == "record":
-        store.put_recording(key, outcome.body, code=code)
-    elif outcome.result is not None:
-        store.put(key, outcome.result, code)
-    else:
-        store.put_stalled(key, cell.spec.name, outcome.error or "", code)
-
-
-# ----------------------------------------------------------------------
-# Worker entry points (module-level: must pickle under spawn)
-# ----------------------------------------------------------------------
-def run_cell(cell: Cell) -> CellOutcome:
-    """Execute one cell in a worker process."""
-    if cell.op == "record":
-        from repro.observe.diff import record_scenario
-
-        rec, _result = record_scenario(cell.spec, capacity=cell.capacity)
-        return CellOutcome(index=cell.index, body=rec.to_body())
-    if cell.op == "margin":
-        try:
-            result = run_scenario(cell.spec)
-        except SimulationStalledError as exc:
-            return CellOutcome(index=cell.index, error=str(exc))
-        return CellOutcome(index=cell.index, result=result)
-    return CellOutcome(index=cell.index, result=run_scenario(cell.spec))
-
-
-def run_cells(cells: List[Cell]) -> List[CellOutcome]:
-    """One worker chunk: several cells, one IPC round trip."""
-    return [run_cell(cell) for cell in cells]
+    return twin_cells(_twin_spec(job))
 
 
 # ----------------------------------------------------------------------
@@ -372,21 +309,25 @@ def _artifact_text(to_json: Any, data: Dict[str, Any]) -> str:
     return to_json(data) + "\n"
 
 
+def _require(outcomes: List[CellOutcome], what: str,
+             attr: str = "result") -> None:
+    """A fold needs every cell's payload; raise JobError otherwise."""
+    for outcome in outcomes:
+        if getattr(outcome, attr) is None:
+            raise JobError(f"{what} cell {outcome.index} has no {attr} "
+                           f"({outcome.error or 'missing'})")
+
+
 def _fold_campaign(job: JobSpec, outcomes: List[CellOutcome],
                    to_json: Any) -> JobArtifact:
     from repro.experiments.campaign import CampaignResult
     from repro.experiments.export import campaign_to_dict
 
+    _require(outcomes, "campaign")
     spec = _campaign_spec(job)
     jobs = spec.expand()
-    runs = []
-    for outcome in outcomes:
-        if outcome.result is None:
-            raise JobError(
-                f"campaign cell {outcome.index} has no result "
-                f"({outcome.error or 'missing'})")
-        runs.append(outcome.result)
-    result = CampaignResult(campaign=spec, jobs=jobs, runs=runs)
+    result = CampaignResult(campaign=spec, jobs=jobs,
+                            runs=[o.result for o in outcomes])
     stats = {name: {"count": rec.count, "max_ns": int(rec.max())}
              for name, rec in sorted(result.merged.items())}
     return JobArtifact(
@@ -399,10 +340,8 @@ def _fold_figure(job: JobSpec, outcomes: List[CellOutcome],
                  to_json: Any) -> JobArtifact:
     from repro.experiments.export import scenario_to_dict
 
+    _require(outcomes, "figure")
     result = outcomes[0].result
-    if result is None:
-        raise JobError(f"figure cell has no result "
-                       f"({outcomes[0].error or 'missing'})")
     return JobArtifact(
         artifact=_artifact_text(to_json, scenario_to_dict(result)),
         report=result.report(),
@@ -412,21 +351,9 @@ def _fold_figure(job: JobSpec, outcomes: List[CellOutcome],
 
 def _fold_margin(job: JobSpec, outcomes: List[CellOutcome],
                  to_json: Any) -> JobArtifact:
-    from repro.faults.margin import (
-        MarginResult,
-        cell_from_result,
-        stalled_cell,
-    )
+    from repro.faults.margin import MarginResult
 
-    mspec = _margin_spec(job)
-    jobs = mspec.expand()
-    cells = []
-    for outcome in outcomes:
-        if outcome.result is not None:
-            cells.append(cell_from_result(outcome.result))
-        else:
-            cells.append(stalled_cell(outcome.error or ""))
-    result = MarginResult(spec=mspec, jobs=jobs, cells=cells)
+    result = MarginResult.from_outcomes(_margin_spec(job), outcomes)
     return JobArtifact(
         artifact=_artifact_text(to_json, result.to_dict()),
         report=result.summary(),
@@ -436,33 +363,16 @@ def _fold_margin(job: JobSpec, outcomes: List[CellOutcome],
 
 def _fold_twin(job: JobSpec, outcomes: List[CellOutcome],
                to_json: Any) -> JobArtifact:
-    from repro.faults.twindiff import TwinDiffResult, TwinDiffSpec
-    from repro.observe.diff import TraceRecording, diff_recordings
+    from repro.faults.twindiff import TwinDiffResult
 
-    recs = []
-    for outcome in outcomes:
-        if outcome.body is None:
-            raise JobError(
-                f"twin-diff cell {outcome.index} has no recording "
-                f"({outcome.error or 'missing'})")
-        recs.append(TraceRecording.from_body(outcome.body))
-    shielded, unshielded = recs
-    diff = diff_recordings(shielded, unshielded,
-                           a_label="shielded", b_label="unshielded")
-    twin = TwinDiffSpec(scenario=job.scenario, plan=job.plan,
-                        intensity=job.intensity, samples=job.samples,
-                        iterations=job.iterations, seed=job.seed,
-                        capacity=job.capacity)
-    plan_name = job._resolve_plan(scenario(job.scenario))
-    result = TwinDiffResult(spec=twin, shielded=shielded,
-                            unshielded=unshielded, diff=diff,
-                            details={"plan": plan_name})
+    _require(outcomes, "twin-diff", "body")
+    result = TwinDiffResult.from_outcomes(_twin_spec(job), outcomes)
     return JobArtifact(
         artifact=_artifact_text(to_json, result.to_dict()),
         report=result.summary(),
         stats={"shielded_within_bound": result.shielded_within_bound,
-               "shielded_max_ns": shielded.max_latency_ns(),
-               "unshielded_max_ns": unshielded.max_latency_ns()})
+               "shielded_max_ns": result.shielded.max_latency_ns(),
+               "unshielded_max_ns": result.unshielded.max_latency_ns()})
 
 
 # ----------------------------------------------------------------------
@@ -479,30 +389,26 @@ def _campaign_spec(job: JobSpec) -> Any:
 
 
 def _margin_spec(job: JobSpec) -> Any:
-    from repro.faults.margin import MarginSpec
+    from repro.faults.margin import DEFAULT_INTENSITIES, MarginSpec
 
     base = scenario(job.scenario)
-    plan_name = job._resolve_plan(base)
     return MarginSpec(
-        scenario=base.name, plan=plan_name,
-        intensities=tuple(job.intensities),
+        scenario=base.name, plan=_plan_name(base, job.plan),
+        intensities=(DEFAULT_INTENSITIES if job.intensities is None
+                     else job.intensities),
         bound_ns=int(job.bound_us * 1_000),
         samples=job.samples, seed=job.seed)
 
 
-def _twin_specs(job: JobSpec) -> Tuple[ScenarioSpec, ScenarioSpec]:
-    base = scenario(job.scenario)
-    plan_name = job._resolve_plan(base)
-    spec = base.configured(samples=job.samples,
-                           iterations=job.iterations, seed=job.seed,
-                           fault_plan=plan_name,
-                           fault_intensity=job.intensity)
-    unshielded = spec.with_overrides(
-        shield=ShieldSpec(cpu=spec.shield.cpu))
-    return spec, unshielded
+def _twin_spec(job: JobSpec) -> Any:
+    from repro.faults.twindiff import TwinDiffSpec
+
+    return TwinDiffSpec(scenario=job.scenario, plan=job.plan,
+                        intensity=job.intensity, samples=job.samples,
+                        iterations=job.iterations, seed=job.seed,
+                        capacity=job.capacity)
 
 
-# Keep `replace` importable for callers tweaking specs functionally.
 __all__ = [
     "JOB_KINDS",
     "Cell",
@@ -514,8 +420,6 @@ __all__ = [
     "expand_cells",
     "fold_job",
     "load_cached",
-    "persist",
-    "replace",
     "run_cell",
     "run_cells",
 ]

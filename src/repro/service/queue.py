@@ -252,8 +252,10 @@ class JobQueue:
                 f"jobs live); retry after one finishes")
         record = JobRecord(job_id=job_id, spec=spec,
                            seq=next(self._seq))
-        self._records[job_id] = record
+        # Push before registering: a record the heap refused must not
+        # linger as a queued job the dispatch loop can never pop.
         self._push(record)
+        self._records[job_id] = record
         self.journal.save(record)
         return record, True
 
@@ -261,6 +263,12 @@ class JobQueue:
         heapq.heappush(self._heap,
                        (-record.spec.priority, record.seq,
                         record.job_id))
+
+    def has_queued(self) -> bool:
+        """True while :meth:`pop` may return a job.  Stale (cancelled)
+        entries can make it a false positive, but each :meth:`pop`
+        then returns a job or empties the heap, so it never spins."""
+        return bool(self._heap)
 
     # ------------------------------------------------------------------
     def pop(self) -> Optional[JobRecord]:

@@ -9,11 +9,10 @@ each job
    store by content key -- a **fully cached job folds straight to its
    artifact without ever creating the worker pool** (the pool is
    lazy, which is how warm re-submission provably spawns nothing);
-2. shards the misses across a fork-context
-   :class:`~concurrent.futures.ProcessPoolExecutor` using the
-   campaign runner's adaptive chunking
-   (``max(1, misses // (workers * 8))``), persisting each outcome to
-   the store the moment its chunk lands;
+2. shards the misses across the shared executor's process pool
+   (:func:`~repro.experiments.cells.make_pool`) in the same chunks the
+   CLI runners use (:func:`~repro.experiments.cells.chunked`),
+   persisting each outcome to the store the moment its chunk lands;
 3. folds the ordered outcomes through the same export code the
    one-shot CLI uses, so the artifact is byte-identical whatever the
    worker count, chunk order, or cache temperature.
@@ -32,21 +31,22 @@ and streams wait on.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.service.jobs import (
+from repro.experiments.cells import (
     Cell,
     CellOutcome,
-    JobSpec,
-    expand_cells,
-    fold_job,
-    load_cached,
+    Keys,
+    cell_keys,
+    chunked,
+    make_pool,
+    partition,
     persist,
     run_cells,
 )
+from repro.service.jobs import JobSpec, expand_cells, fold_job
 from repro.service.queue import JobQueue, JobRecord
 from repro.store.keys import code_version
 from repro.store.store import ResultStore, open_store
@@ -176,7 +176,7 @@ class Scheduler:
                     if record is None:
                         break
                     task = asyncio.create_task(
-                        self._run_job(record),
+                        self._serve_job(record),
                         name=f"job-{record.job_id}")
                     self._active[record.job_id] = task
                     task.add_done_callback(
@@ -188,7 +188,7 @@ class Scheduler:
                     await self.condition.wait_for(
                         lambda: self._draining
                         or (len(self._active) < self.parallel_jobs
-                            and self._has_queued()))
+                            and self.queue.has_queued()))
                 if self._draining and self._active:
                     await asyncio.gather(*self._active.values(),
                                          return_exceptions=True)
@@ -204,9 +204,6 @@ class Scheduler:
         self._active.pop(job_id, None)
         asyncio.ensure_future(self._bump())
 
-    def _has_queued(self) -> bool:
-        return any(r.state == "queued" for r in self.queue.records())
-
     async def drain(self) -> None:
         """Graceful stop: finish in-flight chunks, requeue the rest."""
         self._draining = True
@@ -221,7 +218,7 @@ class Scheduler:
     # ------------------------------------------------------------------
     # One job
     # ------------------------------------------------------------------
-    async def _run_job(self, record: JobRecord) -> None:
+    async def _serve_job(self, record: JobRecord) -> None:
         try:
             interrupted = await self._execute(record)
             if interrupted:
@@ -238,15 +235,9 @@ class Scheduler:
         """Run one job; True if drain interrupted it mid-cells."""
         spec = record.spec
         cells = expand_cells(spec)
-        outcomes: Dict[int, CellOutcome] = {}
-        pending: List[Cell] = []
-        for cell in cells:
-            cached = (load_cached(self.store, cell, self.code)
-                      if spec.use_cache else None)
-            if cached is not None:
-                outcomes[cell.index] = cached
-            else:
-                pending.append(cell)
+        keys = cell_keys(cells, self.code)
+        outcomes, pending = partition(self.store, cells, keys,
+                                      spec.use_cache)
         self.cells_cached += len(outcomes)
         self.queue.progress(record.job_id, cells_done=len(outcomes),
                             cells_total=len(cells),
@@ -255,7 +246,7 @@ class Scheduler:
 
         if pending:
             interrupted = await self._run_pending(record, spec, cells,
-                                                  pending, outcomes)
+                                                  keys, pending, outcomes)
             if interrupted:
                 return True
 
@@ -266,15 +257,14 @@ class Scheduler:
         return False
 
     async def _run_pending(self, record: JobRecord, spec: JobSpec,
-                           cells: List[Cell], pending: List[Cell],
+                           cells: List[Cell], keys: Keys,
+                           pending: List[Cell],
                            outcomes: Dict[int, CellOutcome]) -> bool:
         """Shard the cache misses across the pool; True on drain."""
         workers = self.workers
         if spec.max_workers:
             workers = max(1, min(workers, spec.max_workers))
-        chunksize = max(1, len(pending) // (workers * 8))
-        chunks = [pending[i:i + chunksize]
-                  for i in range(0, len(pending), chunksize)]
+        chunks = chunked(pending, workers)
         executor = self._ensure_pool()
         loop = asyncio.get_running_loop()
         in_flight: Dict[asyncio.Future, List[Cell]] = {}
@@ -298,7 +288,8 @@ class Scheduler:
                 chunk = in_flight.pop(future)
                 results = future.result()  # raises job-failing errors
                 for cell, outcome in zip(chunk, results):
-                    persist(self.store, cell, outcome, self.code)
+                    persist(self.store, cell, outcome,
+                            keys[cell.index], self.code)
                     outcomes[cell.index] = outcome
                     self.cells_computed += 1
                 self.queue.progress(
@@ -311,11 +302,6 @@ class Scheduler:
     def _ensure_pool(self) -> ProcessPoolExecutor:
         """Create the worker pool on first cache miss (lazy)."""
         if self._executor is None:
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX
-                ctx = multiprocessing.get_context()
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=ctx)
+            self._executor = make_pool(self.workers)
             self._pool_created = True
         return self._executor

@@ -9,6 +9,7 @@ degrade to recomputation, never to wrong results.
 import pytest
 
 import repro.experiments.campaign as campaign_mod
+import repro.experiments.cells as cells_mod
 from repro.experiments.campaign import CampaignRunner, CampaignSpec
 from repro.experiments.export import campaign_to_dict, to_json
 from repro.store import ResultStore
@@ -16,8 +17,8 @@ from repro.store import ResultStore
 SPEC = CampaignSpec(scenarios=("fig7",), seeds=(1, 2, 3, 4),
                     samples=120)
 
-#: The pristine worker function, captured before any monkeypatching.
-REAL_RUN_JOB = campaign_mod._run_job
+#: The pristine worker entry, captured before any monkeypatching.
+REAL_RUN_CELLS = cells_mod.run_cells
 
 
 def export(result) -> str:
@@ -33,13 +34,12 @@ def store(tmp_path):
 def count_runs(monkeypatch):
     """Count how many jobs actually execute (cache misses)."""
     calls = []
-    real = campaign_mod._run_job
 
-    def counting(job):
-        calls.append(job.index)
-        return real(job)
+    def counting(cells):
+        calls.extend(cell.index for cell in cells)
+        return REAL_RUN_CELLS(cells)
 
-    monkeypatch.setattr(campaign_mod, "_run_job", counting)
+    monkeypatch.setattr(cells_mod, "run_cells", counting)
     return calls
 
 
@@ -135,14 +135,15 @@ class TestResume:
         calls = []
         fired = []
 
-        def failing(job):
+        def failing(cells):
+            (cell,) = cells  # in-process: one cell per call
             if len(calls) == n and not fired:
                 fired.append(True)
                 raise KeyboardInterrupt
-            calls.append(job.index)
-            return REAL_RUN_JOB(job)
+            calls.append(cell.index)
+            return REAL_RUN_CELLS(cells)
 
-        monkeypatch.setattr(campaign_mod, "_run_job", failing)
+        monkeypatch.setattr(cells_mod, "run_cells", failing)
         return calls
 
     def test_resume_skips_completed_prefix(self, store, monkeypatch):

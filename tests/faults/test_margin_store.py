@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-import repro.faults.margin as margin_mod
+import repro.experiments.cells as cells_mod
 from repro.experiments.campaign import CampaignRunner, CampaignSpec
 from repro.faults.margin import MarginSpec, run_margin
 from repro.store import ResultStore, job_key
@@ -31,13 +31,13 @@ def store(tmp_path):
 @pytest.fixture
 def count_runs(monkeypatch):
     calls = []
-    real = margin_mod.run_scenario
+    real = cells_mod.run_scenario
 
     def counting(spec, *args, **kwargs):
         calls.append(spec.name)
         return real(spec, *args, **kwargs)
 
-    monkeypatch.setattr(margin_mod, "run_scenario", counting)
+    monkeypatch.setattr(cells_mod, "run_scenario", counting)
     return calls
 
 
@@ -81,13 +81,13 @@ class TestCrossToolSharing:
                                 samples=400, fault_plan="storm-fig6",
                                 fault_intensity=1.0)
         CampaignRunner(campaign, store=store).run()
+        assert count_runs == ["fig6"]
+        count_runs.clear()
         ladder = MarginSpec(scenario="fig6", plan="storm-fig6",
                             intensities=(1.0,), samples=400, seed=1)
         result = run_margin(ladder, store=store)
         # The ladder computed only the unshielded twin: the shielded
-        # cell was a hit on the campaign's entry.  (The campaign runs
-        # through its own module, so the margin-side counter seeing
-        # exactly one call proves the reuse.)
+        # cell was a hit on the campaign's entry.
         assert count_runs == ["fig6"]
         assert result.rungs[0]["shielded"]["stalled"] is False
 

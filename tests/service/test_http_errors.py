@@ -108,3 +108,55 @@ class TestLostArtifact:
             # The status route needs no journal read and still works.
             assert client.status(job_id)["state"] == "done"
             assert_still_serving(address)
+
+
+#: Job bodies with one mistyped field each: every one is a 400 at
+#: submission, never a 500 or a job that fails later in a worker.
+MISTYPED = {
+    "priority-string": dict(FIG7, priority="high"),
+    "seed-string": dict(FIG7, seed="x"),
+    "samples-string": dict(FIG7, samples="7"),
+    "seed-bool": dict(FIG7, seed=True),
+    "samples-float": dict(FIG7, samples=7.0),
+    "capacity-zero": {"kind": "twin-diff", "scenario": "storm-fig6",
+                      "capacity": 0},
+    "seeds-object": {"kind": "campaign", "scenarios": "fig7",
+                     "seeds": {"1": 2}},
+    "intensity-nan": {"kind": "twin-diff", "scenario": "storm-fig6",
+                      "intensity": float("nan")},
+    "bound-infinite": {"kind": "margin", "scenario": "fig6",
+                       "bound_us": float("inf")},
+    "use-cache-int": dict(FIG7, use_cache=1),
+    "fault-plan-unknown": {"kind": "campaign", "scenarios": "fig7",
+                           "fault_plan": "no-such-plan"},
+}
+
+
+class TestMistypedJobFields:
+    @pytest.mark.parametrize("name", sorted(MISTYPED))
+    def test_mistyped_field_is_400(self, server, name):
+        address = server[0]
+        body = json.dumps(MISTYPED[name]).encode()
+        status, payload = raw_request(
+            address, f"POST /jobs HTTP/1.1\r\n"
+                     f"Content-Length: {len(body)}", body)
+        assert status == 400
+        assert json.loads(payload)["error"]
+        assert_still_serving(address)
+
+    def test_valid_job_after_rejected_ones_completes(self, tmp_path):
+        """A rejected body leaves no ghost job: the scheduler still
+        dispatches the next valid submission and the server stops."""
+        root = str(tmp_path / "store")
+        with ServerThread(root, workers=1) as address:
+            client = ServiceClient(address, timeout=60.0)
+            for body in MISTYPED.values():
+                with pytest.raises(ServiceError) as err:
+                    client.submit(body)
+                assert err.value.status == 400
+            job_id = client.submit(dict(FIG7, seed=2))["id"]
+            assert client.wait(job_id, poll_s=15.0)["state"] == "done"
+            health = client.health()
+            assert health["queue"]["by_state"] == {
+                "queued": 0, "running": 0, "done": 1, "failed": 0,
+                "cancelled": 0}

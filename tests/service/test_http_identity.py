@@ -28,6 +28,11 @@ CAMPAIGN = {"kind": "campaign", "scenarios": "fig7", "seeds": "1..4",
             "samples": 120}
 MARGIN = {"kind": "margin", "scenario": "fig6",
           "intensities": [0.5, 1.0], "samples": 400, "seed": 1}
+TWIN = {"kind": "twin-diff", "scenario": "storm-fig6", "samples": 150}
+
+#: Every job kind, in submission order.
+JOBS = [("fig6", FIG6), ("fig7", FIG7), ("campaign", CAMPAIGN),
+        ("margin", MARGIN), ("twin", TWIN)]
 
 
 @pytest.fixture(scope="module")
@@ -44,12 +49,10 @@ def cli_artifacts(tmp_path_factory):
     assert cli_main(["faults", "margin", "fig6", "--intensities",
                      "0.5,1", "--samples", "400", "--seed", "1",
                      "--json", str(out / "margin.json")]) == 0
-    return {
-        "fig6": (out / "fig6.json").read_bytes(),
-        "fig7": (out / "fig7.json").read_bytes(),
-        "campaign": (out / "campaign.json").read_bytes(),
-        "margin": (out / "margin.json").read_bytes(),
-    }
+    assert cli_main(["diff", "twin", "storm-fig6", "--samples", "150",
+                     "--json", str(out / "twin.json")]) == 0
+    return {name: (out / f"{name}.json").read_bytes()
+            for name, _spec in JOBS}
 
 
 @pytest.fixture(scope="module")
@@ -59,10 +62,7 @@ def warm_store(tmp_path_factory):
     served = {}
     with ServerThread(root, workers=2) as addr:
         client = ServiceClient(addr)
-        ids = {name: client.submit(spec)["id"]
-               for name, spec in [("fig6", FIG6), ("fig7", FIG7),
-                                  ("campaign", CAMPAIGN),
-                                  ("margin", MARGIN)]}
+        ids = {name: client.submit(spec)["id"] for name, spec in JOBS}
         for name, job_id in ids.items():
             final = client.wait(job_id, poll_s=10.0)
             assert final["state"] == "done", final.get("error")
@@ -71,8 +71,7 @@ def warm_store(tmp_path_factory):
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("name", ["fig6", "fig7", "campaign",
-                                      "margin"])
+    @pytest.mark.parametrize("name", [name for name, _spec in JOBS])
     def test_cold_http_equals_cli(self, name, cli_artifacts,
                                   warm_store):
         _root, served = warm_store
@@ -87,9 +86,7 @@ class TestByteIdentity:
         shutil.rmtree(os.path.join(root, "service", "jobs"))
         with ServerThread(root, workers=1) as addr:
             client = ServiceClient(addr)
-            for name, spec in [("fig6", FIG6), ("fig7", FIG7),
-                               ("campaign", CAMPAIGN),
-                               ("margin", MARGIN)]:
+            for name, spec in JOBS:
                 job_id = client.submit(spec)["id"]
                 final = client.wait(job_id, poll_s=10.0)
                 assert final["state"] == "done"

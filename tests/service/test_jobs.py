@@ -1,8 +1,12 @@
 """Job specs: validation, identity, expansion, and the pure fold."""
 
+import tempfile
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.service.jobs import (
+    JOB_KINDS,
     Cell,
     JobError,
     JobSpec,
@@ -12,7 +16,44 @@ from repro.service.jobs import (
     run_cell,
     run_cells,
 )
+from repro.service.queue import JobJournal, JobQueue
 from repro.store.keys import job_key
+
+#: Any JSON value a client might send for a field (small containers).
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 2 ** 70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6))
+JSON_VALUES = st.one_of(
+    JSON_SCALARS,
+    st.lists(JSON_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=3), JSON_SCALARS, max_size=2))
+
+
+def _field(*plausible):
+    return st.one_of(st.sampled_from(plausible), JSON_VALUES)
+
+
+#: Random job bodies: each field is absent, plausible, or any JSON.
+JOB_BODIES = st.fixed_dictionaries({}, optional={
+    "kind": _field(*JOB_KINDS),
+    "scenarios": _field("fig7", "fig6,fig7", ["fig7"]),
+    "seeds": _field("1..3", "2", [1, 2]),
+    "fault_plan": _field("", "storm-fig7"),
+    "fault_intensity": _field(0.5, 2),
+    "scenario": _field("fig7", "fig6", "storm-fig6", "fig5"),
+    "seed": _field(1, 7),
+    "plan": _field("", "storm-fig6"),
+    "intensities": _field([0.5, 1.0], [2]),
+    "bound_us": _field(500.0, 1000),
+    "intensity": _field(1.0, 2),
+    "capacity": _field(1024, 65536),
+    "samples": _field(50, 120),
+    "iterations": _field(1, 2),
+    "priority": _field(0, 5, -1),
+    "max_workers": _field(0, 2),
+    "use_cache": _field(True, False),
+})
 
 
 class TestSpecParsing:
@@ -51,6 +92,24 @@ class TestSpecParsing:
         with pytest.raises(JobError):
             JobSpec.from_dict({"kind": "campaign",
                                "scenarios": "fig7", "seeds": "8..1"})
+
+    @settings(max_examples=300, deadline=None)
+    @given(JOB_BODIES)
+    def test_parse_rejects_or_the_job_is_runnable(self, body):
+        """A body either fails with JobError at parse time, or its job
+        id, cell expansion and queue admission all succeed -- never a
+        job that parses and then breaks the queue or a worker."""
+        try:
+            spec = JobSpec.from_dict(body)
+        except JobError:
+            return
+        job_id = spec.job_id(code="c")
+        assert expand_cells(spec)
+        with tempfile.TemporaryDirectory() as root:
+            queue = JobQueue(JobJournal(root), capacity=1)
+            queue.submit(spec, job_id)
+            assert queue.pop().spec == spec
+            assert JobQueue(JobJournal(root)).recover()[0].spec == spec
 
     def test_twin_diff_needs_shielded_baseline(self):
         # fig5 runs unshielded: there is no shield to strip.
@@ -147,13 +206,13 @@ class TestWorkerEntry:
     def test_run_cell_margin_stall_is_data(self, monkeypatch):
         """A stalled margin cell returns an error outcome, not a
         raised exception (the ladder's unbounded rung)."""
-        from repro.service import jobs as jobs_mod
+        import repro.experiments.cells as cells_mod
         from repro.sim.errors import SimulationStalledError
 
-        def stall(_spec):
+        def stall(_spec, **_kwargs):
             raise SimulationStalledError("no progress")
 
-        monkeypatch.setattr(jobs_mod, "run_scenario", stall)
+        monkeypatch.setattr(cells_mod, "run_scenario", stall)
         spec = JobSpec.from_dict({"kind": "margin",
                                   "scenario": "fig6",
                                   "intensities": [4.0],
@@ -164,13 +223,13 @@ class TestWorkerEntry:
         assert "no progress" in outcome.error
 
     def test_run_cell_scenario_stall_raises(self, monkeypatch):
-        from repro.service import jobs as jobs_mod
+        import repro.experiments.cells as cells_mod
         from repro.sim.errors import SimulationStalledError
 
-        def stall(_spec):
+        def stall(_spec, **_kwargs):
             raise SimulationStalledError("no progress")
 
-        monkeypatch.setattr(jobs_mod, "run_scenario", stall)
+        monkeypatch.setattr(cells_mod, "run_scenario", stall)
         spec = JobSpec.from_dict({"kind": "figure",
                                   "scenario": "fig7", "samples": 80})
         cell = expand_cells(spec)[0]

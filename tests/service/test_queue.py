@@ -55,6 +55,21 @@ class TestAdmission:
         record, created = queue.submit(fig_spec(2), "b")
         assert created and record.state == "queued"
 
+    def test_refused_push_registers_nothing(self, journal):
+        """A spec the heap cannot order leaves no ghost queued job
+        (the dispatch loop would wait on it forever)."""
+        from dataclasses import replace
+
+        queue = JobQueue(journal, capacity=4)
+        queue.submit(fig_spec(1), "job-a")
+        bad = replace(fig_spec(2), priority="high")  # bypasses from_dict
+        with pytest.raises(TypeError):
+            queue.submit(bad, "job-b")
+        assert [r.job_id for r in queue.records()] == ["job-a"]
+        assert queue.pop().job_id == "job-a"
+        assert not queue.has_queued()
+        assert queue.pop() is None
+
     def test_unknown_job_raises(self, journal):
         with pytest.raises(UnknownJobError):
             JobQueue(journal).get("nope")
@@ -69,6 +84,14 @@ class TestOrdering:
         order = [queue.pop().job_id for _ in range(3)]
         assert order == ["high", "low-1", "low-2"]
         assert queue.pop() is None
+
+    def test_has_queued_until_pop_drains_stale_entries(self, journal):
+        queue = JobQueue(journal, capacity=4)
+        queue.submit(fig_spec(1), "job-a")
+        queue.cancel("job-a")
+        assert queue.has_queued()  # a stale heap entry remains...
+        assert queue.pop() is None
+        assert not queue.has_queued()  # ...until pop discards it
 
     def test_cancelled_jobs_are_skipped(self, journal):
         queue = JobQueue(journal, capacity=8)

@@ -15,7 +15,7 @@ and that resuming reproduces the unhalted ``(when, seq)`` history.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim.engine import Simulator
 
@@ -37,11 +37,21 @@ def _step_drain(sim):
 
 
 def _resume_until(sim, when, stops):
-    """``run_until(when)``, resumed after every halt; logs the stops."""
+    """``run_until(when)``, resumed after every halt; logs the stops.
+
+    A halt can land on ``when`` itself with more events still due
+    there, so "halted" is "clock short of *when* or an event due by
+    it", not the clock alone.
+    """
     sim.run_until(when)
-    while sim.now < when:
+    while sim.now < when or _due_by(sim, when):
         stops.append(sim.now)
         sim.run_until(when)
+
+
+def _due_by(sim, when):
+    nxt = sim.peek_time()
+    return nxt is not None and nxt <= when
 
 
 def _resume_drain(sim):
@@ -246,6 +256,9 @@ class TestRandomSchedules:
 
     @settings(max_examples=120, deadline=None)
     @given(_HALTING_PLAN)
+    # A halt at a mark's own time, with a one-shot still due there.
+    @example({"periodics": [(0, 2, 1, ("halt",))],
+              "oneshots": [(0, ("none",))], "marks": [0]})
     def test_resumed_halts_match_step_replay(self, plan):
         stops = []
         halted = _random_history(
